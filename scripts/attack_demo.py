@@ -25,6 +25,7 @@ from slowqkd.attacksim import (
     honest_baseline,
     run_attack,
 )
+from slowqkd.montecarlo import binomial_stderr
 
 
 def main() -> None:
@@ -40,7 +41,7 @@ def main() -> None:
 
     attacked = run_attack(sc, trials=args.trials, seed=args.seed)
     p = analytic_success(sc)
-    se = attacked.success_stderr
+    se = binomial_stderr(attacked.successes, attacked.trials)
     print(f"\nundetectable-attack probability: analytic {p:.4e}, "
           f"simulated {attacked.empirical_success:.4e} "
           f"(+/- {se:.1e}, {args.trials} trials)")

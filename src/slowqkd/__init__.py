@@ -10,14 +10,12 @@ multiple detections must be discarded.
 
 from .attacksim import (
     DEFAULT_SCENARIO,
-    AttackOutcome,
     AttackScenario,
     AttackStats,
     HonestStats,
     analytic_success,
     honest_baseline,
     run_attack,
-    run_attack_events,
 )
 from .keyrate import (
     Detector,
@@ -85,12 +83,10 @@ __all__ = [
     "compare_to_analytic",
     "AttackScenario",
     "AttackStats",
-    "AttackOutcome",
     "HonestStats",
     "DEFAULT_SCENARIO",
     "analytic_success",
     "run_attack",
-    "run_attack_events",
     "honest_baseline",
     "__version__",
 ]

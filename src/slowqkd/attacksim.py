@@ -22,27 +22,23 @@ sifted key to zero (for M > 1) while keeping most honest detections, which
 at realistic transmission are single-detection sequences.
 
 ``run_attack`` draws only the per-sequence basis choices and the binomial
-basis-match counts (exact, fast).  ``run_attack_events`` replays the same
-scenario pulse by pulse, including Eve's measurement record and Bob's
-outcomes, and is used to cross-check the sequence-level bookkeeping.
+basis-match counts (exact, fast).  The tests cross-check it against a
+pulse-by-pulse replay (``run_attack_events`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "AttackScenario",
     "AttackStats",
-    "AttackOutcome",
     "HonestStats",
     "DEFAULT_SCENARIO",
     "analytic_success",
     "run_attack",
-    "run_attack_events",
     "honest_baseline",
 ]
 
@@ -113,11 +109,6 @@ class AttackStats:
         return self.successes / self.trials
 
     @property
-    def success_stderr(self) -> float:
-        p = self.empirical_success
-        return math.sqrt(p * (1.0 - p) / self.trials)
-
-    @property
     def sifted_naive_mean(self) -> float:
         return self.sifted_naive_total / self.trials
 
@@ -170,72 +161,6 @@ def run_attack(sc: AttackScenario, trials: int, seed: int) -> AttackStats:
         bit_errors_total=errors_total,
         clicks_histogram=hist,
     )
-
-
-@dataclass(frozen=True)
-class AttackOutcome:
-    """One pulse-level trial, kept at full resolution for cross-checks."""
-
-    sifted_bits_naive: int
-    sifted_bits_modified: int
-    undetected_success: bool
-    bit_errors: int
-    eve_record_matches: bool
-    per_sequence_clicks: tuple[int, ...] = field(repr=False)
-
-
-def run_attack_events(sc: AttackScenario, trials: int, seed: int) -> list[AttackOutcome]:
-    """Pulse-level replay of the attack; slow, for validation only.
-
-    Tracks Alice's bits, Eve's measurement record, Bob's per-pulse bases
-    and outcomes.  ``eve_record_matches`` reports whether Eve's record
-    agrees with Alice on every sifted bit of the measured Z sequences —
-    the sequence-level engine takes this for granted.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, 0)))
-    nm, nf = sc.n_measured, sc.n_forwarded
-    out: list[AttackOutcome] = []
-    for _ in range(trials):
-        alice_z = rng.random(nf) < sc.p_z
-        alice_bits = rng.integers(0, 2, (nf, sc.M))
-        # Eve measures the first nm sequences in Z: exact record on a Z
-        # sequence, a coin flip per pulse on an X sequence.
-        coin = rng.integers(0, 2, (nm, sc.M))
-        eve_record = np.where(alice_z[:nm, None], alice_bits[:nm], coin)
-        bob_z = rng.random((nf, sc.M)) < sc.p_z
-        sifted = bob_z == alice_z[:, None]
-
-        # Bob's outcome per pulse: a measured sequence arrives as Eve's Z
-        # eigenstates (Z measurement reproduces her record, X is random);
-        # a clean sequence arrives intact (matched basis reproduces
-        # Alice's bit, mismatched is random — and is discarded anyway).
-        flips = rng.integers(0, 2, (nf, sc.M))
-        bob = np.where(bob_z, np.vstack([eve_record, alice_bits[nm:]]), flips)
-        clean = np.vstack(
-            [np.zeros((nm, sc.M), dtype=bool), np.ones((nf - nm, sc.M), dtype=bool)]
-        )
-        intact = clean & sifted
-        bob = np.where(intact, alice_bits, bob)
-
-        errors = int((sifted & (bob != alice_bits)).sum())
-        naive = int(sifted.sum())
-        modified = naive if sc.M == 1 else 0
-        success = bool(alice_z[:nm].all() and not alice_z[nm:].any())
-        measured_z = sifted[:nm] & alice_z[:nm, None] & bob_z[:nm]
-        matches = bool((eve_record[measured_z] == alice_bits[:nm][measured_z]).all())
-        out.append(
-            AttackOutcome(
-                sifted_bits_naive=naive,
-                sifted_bits_modified=modified,
-                undetected_success=success,
-                bit_errors=errors,
-                eve_record_matches=matches,
-                per_sequence_clicks=tuple([sc.M] * nf),
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)

@@ -10,30 +10,38 @@ mc-validate  event-level Monte Carlo vs the analytic rates
 
 Every subcommand accepts ``--config FILE`` (a JSON object whose keys are
 flag names; hyphens and underscores are interchangeable).  Precedence is
-built-in defaults < config file < explicit flags.  Output is CSV, written
-atomically to ``--out`` (no partial files on failure) or to stdout.
+built-in defaults < config file < explicit flags.  The protocol and attack
+options, with their types and defaults, are the fields of ``ProtocolParams``
+and ``AttackScenario``.  Output is CSV, written atomically to ``--out`` (no
+partial files on failure) or to stdout.
 
-Exit codes: 0 success; 2 usage or config errors; 3 domain errors
-(invalid parameter combinations, failed runs, unwritable output).
+Exit codes: 0 success; 2 usage or config errors (including values of the
+wrong type); 3 domain errors (invalid parameter combinations, failed runs,
+unwritable output).
 """
 
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import MISSING, fields
+from functools import partial
+from typing import get_type_hints
 
 import numpy as np
 
-from ._env import worker_count
+from ._env import parallel_map
 from .attacksim import AttackScenario, analytic_success, run_attack
-from .keyrate import Detector, ProtocolParams, key_rate
-from .montecarlo import McConfig, McMode, compare_to_analytic
-from .optimizer import CurveSpec, M_CANDIDATES_DEFAULT, optimize_with_M, sweep_curves
+from .keyrate import ProtocolParams, key_rate
+from .montecarlo import McConfig, McMode, binomial_stderr, compare_to_analytic
+from .optimizer import (
+    M_CANDIDATES_DEFAULT, POINTS_PER_DECADE, CurveSpec, optimize_with_M, sweep_curves,
+)
 
 __all__ = ["main"]
 
@@ -51,62 +59,114 @@ class _UsageError(Exception):
     pass
 
 
-_DEFAULTS: dict[str, dict] = {
-    "keyrate": dict(M=1, L=128, e_sys=0.03, d_c=1e-9, c_d=0.0, detector="pnr"),
-    "curve": dict(
-        M_list=[1],
-        L=128,
-        e_sys=0.03,
-        d_c=1e-9,
-        c_d=0.0,
-        detector="pnr",
-        eta_min=1e-4,
-        eta_max=1.0,
-        eta_points=41,
-        points_per_decade=20,
-    ),
-    "optimize": dict(
-        L=128,
-        e_sys=0.03,
-        d_c=1e-9,
-        c_d=0.0,
-        detector="pnr",
-        eta_min=1e-4,
-        eta_max=1.0,
-        eta_points=41,
-        points_per_decade=20,
-        M_candidates=None,
-    ),
-    "attack": dict(
-        p_z=0.99,
-        M=100,
-        n_sequences=10_000,
-        n_measured=99,
-        n_clean=1,
-        eta_nominal=0.01,
-        trials=100_000,
-        seed=1,
-    ),
-    "mc_validate": dict(
-        M=1,
-        L=128,
-        e_sys=0.03,
-        d_c=1e-9,
-        c_d=0.0,
-        detector="pnr",
-        mode="standard",
-        trials=100_000,
-        seed=1,
-    ),
+# ---------------------------------------------------------------------------
+# options: name -> (type, default); MISSING marks a required option
+
+
+_INTS = tuple[int, ...]  # "1,10,100" or a JSON list of integers
+
+
+def _options(cls: type, skip: tuple[str, ...] = (), **extra: tuple) -> dict[str, tuple]:
+    """The fields of dataclass ``cls`` (less ``skip``) as options, then ``extra``."""
+    hints = get_type_hints(cls)
+    own = {f.name: (hints[f.name], f.default) for f in fields(cls) if f.name not in skip}
+    return {**own, **extra}
+
+
+_SWEPT = ("mu", "nu_th", "eta", "M")  # set point by point by the optimizer
+_SWEEP = dict(
+    eta_min=(float, 1e-4),
+    eta_max=(float, 1.0),
+    eta_points=(int, 41),
+    points_per_decade=(int, POINTS_PER_DECADE),
+)
+_RUNS = dict(trials=(int, 100_000), seed=(int, 1))
+_PROTOCOL = _options(ProtocolParams)
+
+_HELP = {
+    "mu": "mean photon number per pulse",
+    "nu_th": "photon-number tagging threshold",
+    "eta": "channel transmission",
+    "M": "sequence length: blocks (attack: pulses) per basis choice",
+    "L": "pulses per block",
+    "e_sys": "optical misalignment error",
+    "d_c": "dark count probability per slot",
+    "c_d": "basis-switch dead time in pulse slots",
+    "M_list": "comma-separated M values, one curve each (e.g. 1,10,100)",
+    "M_candidates": "M values to choose from at each point",
+    "points_per_decade": "mu-grid density for the optimizer",
+    "p_z": "probability of the key basis",
 }
 
-_REQUIRED: dict[str, set[str]] = {
-    "keyrate": {"mu", "nu_th", "eta"},
-    "curve": set(),
-    "optimize": set(),
-    "attack": set(),
-    "mc_validate": {"mu", "eta"},
-}
+
+def _coerce(key: str, kind: object, value: object) -> object:
+    """One option value, from a flag (a string) or a config file, as ``kind``.
+
+    A value of the wrong type is a usage error naming the key.  A choice
+    outside an enum is a domain error, like any other out-of-range value.
+    """
+    if isinstance(kind, enum.EnumMeta):
+        choices = [e.value for e in kind]
+        if value in choices:
+            return kind(value)
+        if isinstance(value, str):
+            raise ValueError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+        wanted = "one of " + ", ".join(choices)
+    elif kind == _INTS:
+        if isinstance(value, str):
+            value = [tok for tok in value.split(",") if tok.strip()]
+        if isinstance(value, list):
+            return tuple(_coerce(f"each entry of {key}", int, v) for v in value)
+        wanted = "a list of integers"
+    else:
+        wanted = "an integer" if kind is int else "a number"
+        if kind is int and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        accepted = (int, float, str) if kind is float else (int, str)
+        if isinstance(value, accepted) and not isinstance(value, bool):
+            try:
+                return kind(value)
+            except (ValueError, OverflowError):
+                pass
+    raise _UsageError(f"{key} must be {wanted}, got {value!r}")
+
+
+def _load_config(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise _UsageError(f"config {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise _UsageError(f"config {path!r} must contain a JSON object")
+    return {str(k).replace("-", "_"): v for k, v in raw.items()}
+
+
+def _gather(args: argparse.Namespace) -> tuple[dict, str | None]:
+    """Merge defaults, config file and explicit flags for one subcommand."""
+    flags = vars(args).copy()
+    cmd, out, config_path = flags.pop("command"), flags.pop("out"), flags.pop("config")
+    options = _COMMANDS[cmd][2]
+    given = {}
+    if config_path is not None:
+        given = _load_config(config_path)
+        unknown = sorted(set(given) - set(options))
+        if unknown:
+            raise _UsageError(f"unknown config key(s) for {cmd}: {', '.join(unknown)}")
+    given.update(flags)
+    merged = {key: default for key, (_, default) in options.items() if default is not MISSING}
+    merged.update({key: _coerce(key, options[key][0], v) for key, v in given.items()})
+    missing = sorted(set(options) - set(merged))
+    if missing:
+        raise _UsageError(f"{cmd} requires: {', '.join(missing)}")
+    return merged, out
+
+
+def _build(cls: type, m: dict, **fixed: object) -> object:
+    """An instance of dataclass ``cls`` from the merged options naming its fields."""
+    return cls(**{f.name: m[f.name] for f in fields(cls) if f.name in m}, **fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +176,6 @@ _REQUIRED: dict[str, set[str]] = {
 def _fmt(x: float) -> str:
     """Shortest round-tripping decimal form; stable across runs."""
     return repr(float(x))
-
-
-def _int_list(text: str) -> list[int]:
-    """Parse a comma-separated list of integers ("1,10,100")."""
-    return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -146,45 +201,8 @@ def _emit(out: str | None, header: str, rows: list[list[str]]) -> None:
         _atomic_write(out, text)
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise _UsageError(f"config {path!r} must contain a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in raw.items()}
-
-
-def _gather(cmd: str, args: argparse.Namespace) -> tuple[dict, str | None]:
-    """Merge defaults, config file and explicit flags for one subcommand."""
-    ns = vars(args).copy()
-    ns.pop("func", None)
-    ns.pop("cmd_name", None)
-    out = ns.pop("out", None)
-    config_path = ns.pop("config", None)
-    allowed = set(_DEFAULTS[cmd]) | _REQUIRED[cmd]
-    merged = dict(_DEFAULTS[cmd])
-    if config_path is not None:
-        cfg = _load_config(config_path)
-        unknown = sorted(set(cfg) - allowed)
-        if unknown:
-            raise _UsageError(
-                f"unknown config key(s) for {cmd}: {', '.join(unknown)}"
-            )
-        merged.update(cfg)
-    merged.update(ns)
-    missing = sorted(_REQUIRED[cmd] - set(merged))
-    if missing:
-        raise _UsageError(f"{cmd} requires: {', '.join(missing)}")
-    return merged, out
-
-
 def _eta_grid(m: dict) -> tuple[float, ...]:
-    lo, hi, n = float(m["eta_min"]), float(m["eta_max"]), int(m["eta_points"])
+    lo, hi, n = m["eta_min"], m["eta_max"], m["eta_points"]
     if n < 1:
         raise ValueError(f"eta_points must be >= 1, got {n}")
     if lo <= 0.0 or hi <= 0.0:
@@ -196,19 +214,9 @@ def _eta_grid(m: dict) -> tuple[float, ...]:
     return tuple(float(x) for x in np.logspace(math.log10(lo), math.log10(hi), n))
 
 
-def _base_params(m: dict) -> ProtocolParams:
+def _sweep_base(m: dict) -> ProtocolParams:
     # Placeholder mu/nu_th/eta: the optimizer replaces them point by point.
-    return ProtocolParams(
-        mu=0.1,
-        nu_th=0,
-        eta=1.0,
-        M=1,
-        L=int(m["L"]),
-        e_sys=float(m["e_sys"]),
-        d_c=float(m["d_c"]),
-        c_d=float(m["c_d"]),
-        detector=Detector(m["detector"]),
-    )
+    return _build(ProtocolParams, m, mu=0.0, nu_th=0, eta=0.0)
 
 
 def _rate_row(
@@ -232,79 +240,38 @@ def _rate_row(
     ]
 
 
+def _emit_optima(out: str | None, base: ProtocolParams, optima: list) -> None:
+    rows = [_rate_row(base, o.eta, o.M, o.mu_opt, o.nu_th_opt, o.result) for o in optima]
+    _emit(out, RATE_HEADER, rows)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_keyrate(m: dict, out: str | None) -> None:
-    p = ProtocolParams(
-        mu=float(m["mu"]),
-        nu_th=int(m["nu_th"]),
-        eta=float(m["eta"]),
-        M=int(m["M"]),
-        L=int(m["L"]),
-        e_sys=float(m["e_sys"]),
-        d_c=float(m["d_c"]),
-        c_d=float(m["c_d"]),
-        detector=Detector(m["detector"]),
-    )
-    res = key_rate(p)
-    _emit(out, RATE_HEADER, [_rate_row(p, p.eta, p.M, p.mu, p.nu_th, res)])
+    p = _build(ProtocolParams, m)
+    _emit(out, RATE_HEADER, [_rate_row(p, p.eta, p.M, p.mu, p.nu_th, key_rate(p))])
 
 
 def cmd_curve(m: dict, out: str | None) -> None:
-    base = _base_params(m)
-    m_list = m["M_list"]
-    if isinstance(m_list, str):  # config files may give "1,10,100" or [1, 10, 100]
-        m_list = _int_list(m_list)
-    spec = CurveSpec(
-        base=base,
-        eta_grid=_eta_grid(m),
-        M_values=tuple(int(x) for x in m_list),
-    )
-    optima = sweep_curves(spec, points_per_decade=int(m["points_per_decade"]))
-    rows = [
-        _rate_row(base, o.eta, o.M, o.mu_opt, o.nu_th_opt, o.result) for o in optima
-    ]
-    _emit(out, RATE_HEADER, rows)
-
-
-def _optimize_task(args: tuple) -> tuple:
-    base, eta, cands, ppd = args
-    o = optimize_with_M(base, eta, cands, points_per_decade=ppd)
-    return o
+    base = _sweep_base(m)
+    spec = CurveSpec(base=base, eta_grid=_eta_grid(m), M_values=m["M_list"])
+    _emit_optima(out, base, sweep_curves(spec, points_per_decade=m["points_per_decade"]))
 
 
 def cmd_optimize(m: dict, out: str | None) -> None:
-    base = _base_params(m)
-    cands = m["M_candidates"]
-    cands = M_CANDIDATES_DEFAULT if cands is None else tuple(int(x) for x in cands)
-    ppd = int(m["points_per_decade"])
-    tasks = [(base, eta, cands, ppd) for eta in _eta_grid(m)]
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            optima = list(pool.map(_optimize_task, tasks))
-    else:
-        optima = [_optimize_task(t) for t in tasks]
-    rows = [
-        _rate_row(base, o.eta, o.M, o.mu_opt, o.nu_th_opt, o.result) for o in optima
-    ]
-    _emit(out, RATE_HEADER, rows)
+    base = _sweep_base(m)
+    optima = parallel_map(
+        partial(optimize_with_M, points_per_decade=m["points_per_decade"]),
+        [(base, eta, m["M_candidates"]) for eta in _eta_grid(m)],
+    )
+    _emit_optima(out, base, optima)
 
 
 def cmd_attack(m: dict, out: str | None) -> None:
-    sc = AttackScenario(
-        p_z=float(m["p_z"]),
-        M=int(m["M"]),
-        n_sequences=int(m["n_sequences"]),
-        n_measured=int(m["n_measured"]),
-        n_clean=int(m["n_clean"]),
-        eta_nominal=float(m["eta_nominal"]),
-    )
-    stats = run_attack(sc, int(m["trials"]), int(m["seed"]))
+    sc = _build(AttackScenario, m)
+    stats = run_attack(sc, m["trials"], m["seed"])
     row = [
         _fmt(sc.p_z),
         str(sc.M),
@@ -314,7 +281,7 @@ def cmd_attack(m: dict, out: str | None) -> None:
         str(stats.trials),
         _fmt(analytic_success(sc)),
         _fmt(stats.empirical_success),
-        _fmt(stats.success_stderr),
+        _fmt(binomial_stderr(stats.successes, stats.trials)),
         _fmt(stats.sifted_naive_mean),
         _fmt(stats.sifted_modified_mean),
     ]
@@ -322,25 +289,38 @@ def cmd_attack(m: dict, out: str | None) -> None:
 
 
 def cmd_mc_validate(m: dict, out: str | None) -> None:
-    p = ProtocolParams(
-        mu=float(m["mu"]),
-        nu_th=0,
-        eta=float(m["eta"]),
-        M=int(m["M"]),
-        L=int(m["L"]),
-        e_sys=float(m["e_sys"]),
-        d_c=float(m["d_c"]),
-        c_d=0.0,
-        detector=Detector(m["detector"]),
-    )
-    cfg = McConfig(
-        params=p, trials=int(m["trials"]), seed=int(m["seed"]), mode=McMode(m["mode"])
-    )
+    # nu_th and c_d enter none of Q, e_bit and e_mB, nor the simulation.
+    p = _build(ProtocolParams, m, nu_th=0)
+    cfg = McConfig(params=p, trials=m["trials"], seed=m["seed"], mode=m["mode"])
     rows = [
         [c.quantity, _fmt(c.analytic), _fmt(c.empirical), _fmt(c.stderr), _fmt(c.z)]
         for c in compare_to_analytic(cfg)
     ]
     _emit(out, MC_HEADER, rows)
+
+
+# subcommand -> (handler, help, options)
+_COMMANDS: dict[str, tuple] = {
+    "keyrate": (cmd_keyrate, "evaluate the rate formulas at one point", _PROTOCOL),
+    "curve": (
+        cmd_curve,
+        "optimized rate over a transmission sweep",
+        _options(ProtocolParams, _SWEPT, M_list=(_INTS, (_PROTOCOL["M"][1],)), **_SWEEP),
+    ),
+    "optimize": (
+        cmd_optimize,
+        "sweep with M chosen per point",
+        _options(ProtocolParams, _SWEPT, M_candidates=(_INTS, M_CANDIDATES_DEFAULT), **_SWEEP),
+    ),
+    "attack": (
+        cmd_attack, "intercept-resend attack on naive sifting", _options(AttackScenario, **_RUNS)
+    ),
+    "mc-validate": (
+        cmd_mc_validate,
+        "event-level Monte Carlo vs analytic rates",
+        _options(ProtocolParams, ("nu_th", "c_d"), mode=(McMode, McMode.STANDARD), **_RUNS),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -353,75 +333,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Key rates, optimization and simulations for slow-basis QKD.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS
-
-    def common(sp: argparse.ArgumentParser) -> None:
+    for cmd, (_, help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(cmd, help=help_text)
+        for key, (kind, _) in options.items():
+            sp.add_argument(
+                "--" + key.replace("_", "-"),
+                default=argparse.SUPPRESS,
+                help=_HELP.get(key),
+                choices=[e.value for e in kind] if isinstance(kind, enum.EnumMeta) else None,
+                nargs="+" if key == "M_candidates" else None,
+            )
         sp.add_argument("--config", default=None, metavar="FILE",
                         help="JSON config; flags override its values")
         sp.add_argument("--out", default=None, metavar="CSV",
                         help="output path (atomic write); stdout if omitted")
-
-    def protocol(sp: argparse.ArgumentParser, with_M: bool = True) -> None:
-        if with_M:
-            sp.add_argument("--M", type=int, default=S, help="blocks per sequence")
-        sp.add_argument("--L", type=int, default=S, help="pulses per block")
-        sp.add_argument("--e-sys", type=float, default=S, help="optical misalignment error")
-        sp.add_argument("--d-c", type=float, default=S, help="dark count probability per slot")
-        sp.add_argument("--c-d", type=float, default=S, help="basis-switch dead time in pulse slots")
-        sp.add_argument("--detector", choices=[d.value for d in Detector], default=S)
-
-    def sweep(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--eta-min", type=float, default=S)
-        sp.add_argument("--eta-max", type=float, default=S)
-        sp.add_argument("--eta-points", type=int, default=S)
-        sp.add_argument("--points-per-decade", type=int, default=S,
-                        help="mu-grid density for the optimizer")
-
-    sp = sub.add_parser("keyrate", help="evaluate the rate formulas at one point")
-    sp.add_argument("--mu", type=float, default=S, help="mean photon number per pulse")
-    sp.add_argument("--nu-th", type=int, default=S, help="photon-number tagging threshold")
-    sp.add_argument("--eta", type=float, default=S, help="channel transmission")
-    protocol(sp)
-    common(sp)
-    sp.set_defaults(func=cmd_keyrate, cmd_name="keyrate")
-
-    sp = sub.add_parser("curve", help="optimized rate over a transmission sweep")
-    sp.add_argument("--M-list", type=_int_list, default=S,
-                    help="comma-separated M values, one curve each (e.g. 1,10,100)")
-    protocol(sp, with_M=False)
-    sweep(sp)
-    common(sp)
-    sp.set_defaults(func=cmd_curve, cmd_name="curve")
-
-    sp = sub.add_parser("optimize", help="sweep with M chosen per point")
-    sp.add_argument("--M-candidates", type=int, nargs="+", default=S)
-    protocol(sp, with_M=False)
-    sweep(sp)
-    common(sp)
-    sp.set_defaults(func=cmd_optimize, cmd_name="optimize")
-
-    sp = sub.add_parser("attack", help="intercept-resend attack on naive sifting")
-    sp.add_argument("--p-z", type=float, default=S, help="probability of the key basis")
-    sp.add_argument("--M", type=int, default=S, help="pulses per basis sequence")
-    sp.add_argument("--n-sequences", type=int, default=S)
-    sp.add_argument("--n-measured", type=int, default=S)
-    sp.add_argument("--n-clean", type=int, default=S)
-    sp.add_argument("--eta-nominal", type=float, default=S)
-    sp.add_argument("--trials", type=int, default=S)
-    sp.add_argument("--seed", type=int, default=S)
-    common(sp)
-    sp.set_defaults(func=cmd_attack, cmd_name="attack")
-
-    sp = sub.add_parser("mc-validate", help="event-level Monte Carlo vs analytic rates")
-    sp.add_argument("--mu", type=float, default=S)
-    sp.add_argument("--eta", type=float, default=S)
-    protocol(sp)
-    sp.add_argument("--mode", choices=[m.value for m in McMode], default=S)
-    sp.add_argument("--trials", type=int, default=S)
-    sp.add_argument("--seed", type=int, default=S)
-    common(sp)
-    sp.set_defaults(func=cmd_mc_validate, cmd_name="mc_validate")
-
     return parser
 
 
@@ -433,16 +358,12 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return 0 if code in (0, None) else int(code)
     try:
-        merged, out = _gather(args.cmd_name, args)
+        merged, out = _gather(args)
+        _COMMANDS[args.command][0](merged, out)
     except _UsageError as exc:
         print(f"slowqkd: error: {exc}", file=sys.stderr)
         return 2
-    try:
-        args.func(merged, out)
-    except ValueError as exc:
-        print(f"slowqkd: error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"slowqkd: error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -49,8 +49,7 @@ class ProtocolParams:
     photon-number tagging threshold, ``eta`` the channel transmission,
     ``e_sys`` the intrinsic optical error rate, ``d_c`` the dark-count
     probability per detection slot, and ``c_d`` the detector dead time in
-    pulse units (added to the M*L pulses a sequence occupies).  ``T`` is
-    the pulse interval in seconds and is carried as metadata only.
+    pulse units (added to the M*L pulses a sequence occupies).
     """
 
     mu: float
@@ -60,17 +59,16 @@ class ProtocolParams:
     L: int = 128
     e_sys: float = 0.03
     d_c: float = 1e-9
-    c_d: int = 0
+    c_d: float = 0.0
     detector: Detector = Detector.PNR
-    T: float = 1.0
 
     def __post_init__(self) -> None:
         if self.L < 2:
             raise ValueError(f"L must be an integer >= 2, got {self.L}")
         if self.M < 1:
             raise ValueError(f"M must be an integer >= 1, got {self.M}")
-        if not self.mu >= 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if not 0 <= self.nu_th <= self.L - 1:
             raise ValueError(
                 f"nu_th must be within [0, L-1] = [0, {self.L - 1}], got {self.nu_th}"
@@ -81,12 +79,10 @@ class ProtocolParams:
             raise ValueError(f"e_sys must be within [0, 1], got {self.e_sys}")
         if not 0.0 <= self.d_c <= 1.0:
             raise ValueError(f"d_c must be within [0, 1], got {self.d_c}")
-        if self.c_d < 0:
-            raise ValueError(f"c_d must be a nonnegative integer, got {self.c_d}")
+        if not 0.0 <= self.c_d < math.inf:
+            raise ValueError(f"c_d must be finite and >= 0, got {self.c_d}")
         if not isinstance(self.detector, Detector):
             raise ValueError(f"detector must be a Detector, got {self.detector!r}")
-        if not self.T > 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
 
 
 @dataclass(frozen=True)
@@ -256,25 +252,19 @@ def _phase_penalty(e_ph: float) -> float:
     return 1.0 if e_ph >= 0.5 else binary_entropy(e_ph)
 
 
-def key_rate(p: ProtocolParams, *, e_mB_override: float | None = None) -> KeyRateResult:
+def key_rate(p: ProtocolParams) -> KeyRateResult:
     """Secret-key rate per pulse slot at one operating point.
 
     PNR mode:        G = Q/(M L + c_d) [1 - h(e_bit) - h(e_ph)]
     Threshold mode:  G = Q/(M L + c_d) [1 - h(e_bit) - e_mB/Q - (1 - e_mB/Q) h(e_ph)]
 
-    ``e_mB_override`` substitutes the multi-detection bound in threshold
-    mode (useful to check that the threshold formula reduces to the PNR
-    one at e_mB = 0).  A missing phase-error bound is reported as G = 0
-    with a reason code instead of raising.
+    At e_mB = 0 the threshold formula reduces to the PNR one.  A missing
+    phase-error bound is reported as G = 0 with a reason code instead of
+    raising.
     """
     Q = detection_rate_Q(p)
     esl = e_src_slow(e_src(p.L, p.mu, p.nu_th), p.M)
-    if p.detector is Detector.PNR:
-        emb = 0.0
-    elif e_mB_override is not None:
-        emb = e_mB_override
-    else:
-        emb = e_mB(p)
+    emb = 0.0 if p.detector is Detector.PNR else e_mB(p)
 
     if Q <= 0.0:
         return KeyRateResult(0.0, 0.0, Q, math.nan, math.nan, esl, emb, reason="no_detection")

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._env import worker_count
+from ._env import parallel_map
 from .keyrate import Detector, ProtocolParams, bit_error_rate, detection_rate_Q, e_mB
 
 __all__ = [
@@ -201,17 +201,6 @@ def _beamdump_events(p: ProtocolParams, rng: np.random.Generator, count: int) ->
 # sifting
 
 
-@dataclass
-class _ChunkCounts:
-    sequences: int
-    detected: int
-    bit_errors: int
-    double_counts: int
-    multi_photon_blocks: int
-    multi_photon_sequences: int
-    clicks_histogram: dict[int, int]
-
-
 def _first_click(flat: np.ndarray, L: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     """(ever_clicked, block_of_first_click) per sequence; block = M when silent."""
     any_click = flat.any(axis=1)
@@ -220,7 +209,25 @@ def _first_click(flat: np.ndarray, L: int, M: int) -> tuple[np.ndarray, np.ndarr
     return any_click, block
 
 
-def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[_ChunkCounts, np.ndarray, np.ndarray]:
+def _tally(
+    n_bob: np.ndarray, clicks_per_seq: np.ndarray, *,
+    detected: int = 0, bit_errors: int = 0, double_counts: int = 0,
+) -> McStats:
+    """Counters of one chunk: the sift's own counts plus the ground-truth
+    multi-photon counters and the click histogram that both sifts share."""
+    multi = n_bob.sum(axis=2) >= 2
+    return McStats(
+        sequences=len(clicks_per_seq),
+        detected=detected,
+        bit_errors=bit_errors,
+        double_counts=double_counts,
+        multi_photon_blocks=int(multi.sum()),
+        multi_photon_sequences=int(multi.any(axis=1).sum()),
+        clicks_histogram={int(k): int(v) for k, v in enumerate(np.bincount(clicks_per_seq)) if v > 0},
+    )
+
+
+def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[McStats, np.ndarray, np.ndarray]:
     """Apply the sifting rule to standard-mode events.
 
     Returns the chunk counters plus the per-sequence (accepted, errored)
@@ -255,23 +262,14 @@ def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[_ChunkCounts, np.ndarra
         errored = accepted & (cd_flat[rows, t] != det)
         clicks_per_seq = any0.astype(np.int64) + any1.astype(np.int64)
 
-    bob_blocks = ev["n_bob"].sum(axis=2)
-    multi = bob_blocks >= 2
-    hist_counts = np.bincount(clicks_per_seq)
-    hist = {int(k): int(v) for k, v in enumerate(hist_counts) if v > 0}
-    counts = _ChunkCounts(
-        sequences=count,
-        detected=int(accepted.sum()),
-        bit_errors=int(errored.sum()),
-        double_counts=0,
-        multi_photon_blocks=int(multi.sum()),
-        multi_photon_sequences=int(multi.any(axis=1).sum()),
-        clicks_histogram=hist,
+    counts = _tally(
+        ev["n_bob"], clicks_per_seq,
+        detected=int(accepted.sum()), bit_errors=int(errored.sum()),
     )
     return counts, accepted, errored
 
 
-def _sift_beamdump(p: ProtocolParams, ev: dict) -> tuple[_ChunkCounts, np.ndarray]:
+def _sift_beamdump(p: ProtocolParams, ev: dict) -> tuple[McStats, np.ndarray]:
     """Double-count bookkeeping for beam-dump events.
 
     A detector's first click is unaffected by the partner's dead time, so
@@ -279,27 +277,11 @@ def _sift_beamdump(p: ProtocolParams, ev: dict) -> tuple[_ChunkCounts, np.ndarra
     once and their first clicks land in the same block.
     """
     count = ev["ev_a"].shape[0]
-    ca = ev["ev_a"].reshape(count, -1)
-    cb = ev["ev_b"].reshape(count, -1)
-    any_a, blk_a = _first_click(ca, p.L, p.M)
-    any_b, blk_b = _first_click(cb, p.L, p.M)
+    any_a, blk_a = _first_click(ev["ev_a"].reshape(count, -1), p.L, p.M)
+    any_b, blk_b = _first_click(ev["ev_b"].reshape(count, -1), p.L, p.M)
     double = any_a & any_b & (blk_a == blk_b)
-
-    bob_blocks = ev["n_bob"].sum(axis=2)
-    multi = bob_blocks >= 2
     clicks_per_seq = any_a.astype(np.int64) + any_b.astype(np.int64)
-    hist_counts = np.bincount(clicks_per_seq)
-    hist = {int(k): int(v) for k, v in enumerate(hist_counts) if v > 0}
-    counts = _ChunkCounts(
-        sequences=count,
-        detected=0,
-        bit_errors=0,
-        double_counts=int(double.sum()),
-        multi_photon_blocks=int(multi.sum()),
-        multi_photon_sequences=int(multi.any(axis=1).sum()),
-        clicks_histogram=hist,
-    )
-    return counts, double
+    return _tally(ev["n_bob"], clicks_per_seq, double_counts=int(double.sum())), double
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +299,11 @@ def _chunk_schedule(trials: int, M: int, L: int) -> list[int]:
     return [size] * full + ([rem] if rem else [])
 
 
-def _run_chunk(args: tuple) -> _ChunkCounts:
-    p, mode, seed, index, count = args
+def _run_chunk(p: ProtocolParams, mode: McMode, seed: int, index: int, count: int) -> McStats:
     rng = _chunk_rng(seed, index)
     if mode is McMode.STANDARD:
-        counts, _, _ = _sift_standard(p, _standard_events(p, rng, count))
-    else:
-        counts, _ = _sift_beamdump(p, _beamdump_events(p, rng, count))
-    return counts
+        return _sift_standard(p, _standard_events(p, rng, count))[0]
+    return _sift_beamdump(p, _beamdump_events(p, rng, count))[0]
 
 
 def simulate(cfg: McConfig) -> McStats:
@@ -334,24 +313,18 @@ def simulate(cfg: McConfig) -> McStats:
     identical statistics regardless of QKD_THREADS.
     """
     sizes = _chunk_schedule(cfg.trials, cfg.params.M, cfg.params.L)
-    tasks = [(cfg.params, cfg.mode, cfg.seed, i, n) for i, n in enumerate(sizes)]
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_chunk, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    else:
-        results = [_run_chunk(t) for t in tasks]
-
-    hist: dict[int, int] = {}
-    totals = dict.fromkeys(
-        ("detected", "bit_errors", "double_counts", "multi_photon_blocks", "multi_photon_sequences"), 0
+    results = parallel_map(
+        _run_chunk, [(cfg.params, cfg.mode, cfg.seed, i, n) for i, n in enumerate(sizes)]
     )
+    hist: Counter[int] = Counter()
     for r in results:
-        for key in totals:
-            totals[key] += getattr(r, key)
-        for k, v in r.clicks_histogram.items():
-            hist[k] = hist.get(k, 0) + v
-    return McStats(sequences=cfg.trials, clicks_histogram=dict(sorted(hist.items())), **totals)
+        hist.update(r.clicks_histogram)
+    counters = ("detected", "bit_errors", "double_counts", "multi_photon_blocks", "multi_photon_sequences")
+    return McStats(
+        sequences=cfg.trials,
+        clicks_histogram=dict(sorted(hist.items())),
+        **{key: sum(getattr(r, key) for r in results) for key in counters},
+    )
 
 
 def _z_score(empirical: float, analytic: float, stderr: float) -> float:

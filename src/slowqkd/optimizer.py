@@ -1,7 +1,7 @@
 """Deterministic parameter optimization for the slow-basis key-rate model.
 
-For each candidate ``nu_th`` (scanned in ascending order, with optional
-early stopping once the rate has decayed for three consecutive values),
+For each candidate ``nu_th`` (scanned in ascending order, with early
+stopping once the rate has decayed for three consecutive values),
 ``mu`` is maximized on a coarse logarithmic grid followed by golden-section
 refinement in log(mu).  ``M`` is picked from an explicit candidate list.
 No randomness is involved anywhere, so repeated runs are bit-identical.
@@ -10,10 +10,10 @@ No randomness is involved anywhere, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
-from ._env import worker_count
+from ._env import parallel_map
 from .keyrate import KeyRateResult, ProtocolParams, key_rate
 
 __all__ = [
@@ -129,13 +129,12 @@ def optimize_point(
     M: int,
     *,
     points_per_decade: int = POINTS_PER_DECADE,
-    full_scan: bool = False,
 ) -> Optimum:
     """Maximize the clamped key rate over (mu, nu_th) at one (eta, M).
 
     nu_th runs over 0..L-1 in ascending order.  The rate is unimodal in
-    nu_th in practice, so unless ``full_scan`` is set the scan stops after
-    the per-nu_th maximum has decreased three times in a row.  Ties prefer
+    nu_th in practice, so the scan stops after the per-nu_th maximum has
+    decreased ``_EARLY_STOP_RUN`` (three) times in a row.  Ties prefer
     the smaller nu_th (and the smaller mu within one nu_th).  When no
     positive rate exists anywhere the reported point sits at the grid
     boundaries (mu = MU_MIN, nu_th = 0) with G = 0.
@@ -153,7 +152,7 @@ def optimize_point(
         if prev is not None:
             if g < prev:
                 run += 1
-                if run >= _EARLY_STOP_RUN and not full_scan:
+                if run >= _EARLY_STOP_RUN:
                     break
             else:
                 run = 0
@@ -170,22 +169,19 @@ def optimize_with_M(
     M_candidates: tuple[int, ...] = M_CANDIDATES_DEFAULT,
     *,
     points_per_decade: int = POINTS_PER_DECADE,
-    full_scan: bool = False,
 ) -> Optimum:
     """Best Optimum across candidate sequence lengths (ties keep the smaller M)."""
     if len(M_candidates) == 0:
         raise ValueError("M_candidates must be non-empty")
     best: Optimum | None = None
     for M in M_candidates:
-        opt = optimize_point(
-            base, eta, M, points_per_decade=points_per_decade, full_scan=full_scan
-        )
+        opt = optimize_point(base, eta, M, points_per_decade=points_per_decade)
         if best is None or opt.result.G > best.result.G:
             best = opt
     return best
 
 
-def heuristic_M(L: int, c_d: int) -> int:
+def heuristic_M(L: int, c_d: float) -> int:
     """Sequence length balancing dead-time overhead against sequence cost.
 
     round(c_d / L) (banker's rounding), at least 1: make the M*L pulses of
@@ -198,32 +194,15 @@ def heuristic_M(L: int, c_d: int) -> int:
     return max(1, round(c_d / L))
 
 
-def _sweep_task(args: tuple) -> Optimum:
-    base, eta, M, points_per_decade, full_scan = args
-    return optimize_point(
-        base, eta, M, points_per_decade=points_per_decade, full_scan=full_scan
-    )
-
-
 def sweep_curves(
-    spec: CurveSpec,
-    *,
-    points_per_decade: int = POINTS_PER_DECADE,
-    full_scan: bool = False,
+    spec: CurveSpec, *, points_per_decade: int = POINTS_PER_DECADE
 ) -> list[Optimum]:
     """Optimize every (M, eta) point of the spec, in (M, eta) lexicographic order.
 
     Points are independent; set QKD_THREADS > 1 to spread them over a
     process pool.  The output does not depend on the worker count.
     """
-    tasks = [
-        (spec.base, eta, M, points_per_decade, full_scan)
-        for M in sorted(spec.M_values)
-        for eta in spec.eta_grid
-    ]
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            return list(pool.map(_sweep_task, tasks, chunksize=chunk))
-    return [_sweep_task(t) for t in tasks]
+    return parallel_map(
+        partial(optimize_point, points_per_decade=points_per_decade),
+        [(spec.base, eta, M) for M in sorted(spec.M_values) for eta in spec.eta_grid],
+    )

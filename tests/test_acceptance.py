@@ -47,6 +47,7 @@ from slowqkd import (
     run_attack,
     simulate,
 )
+from slowqkd import keyrate
 from slowqkd.cli import main as cli_main
 from slowqkd.optimizer import heuristic_M, optimize_point, optimize_with_M, sweep_curves
 
@@ -94,8 +95,9 @@ def threshold_curves() -> dict[tuple[int, float], float]:
     return {(o.M, o.eta): o.result.G for o in sweep_curves(spec)}
 
 
-def test_01_threshold_with_zero_emb_reduces_to_pnr() -> None:
+def test_01_threshold_with_zero_emb_reduces_to_pnr(monkeypatch) -> None:
     """Forcing e_mB = 0 (and c_d = 0) collapses the threshold rate onto PNR."""
+    monkeypatch.setattr(keyrate, "e_mB", lambda p: 0.0)
     rng = np.random.default_rng(7)
     start = time.perf_counter()
     for _ in range(1000):
@@ -111,9 +113,7 @@ def test_01_threshold_with_zero_emb_reduces_to_pnr() -> None:
             c_d=0,
         )
         pnr = key_rate(ProtocolParams(detector=Detector.PNR, **kwargs))
-        thr = key_rate(
-            ProtocolParams(detector=Detector.THRESHOLD, **kwargs), e_mB_override=0.0
-        )
+        thr = key_rate(ProtocolParams(detector=Detector.THRESHOLD, **kwargs))
         assert _rel_close(pnr.G_raw, thr.G_raw, 1e-12)
         assert _rel_close(pnr.G, thr.G, 1e-12)
         assert _rel_close(pnr.Q, thr.Q, 1e-12)

@@ -10,8 +10,9 @@ from slowqkd import (
     analytic_success,
     honest_baseline,
     run_attack,
-    run_attack_events,
 )
+
+from oracles import run_attack_events
 
 # small enough for the pulse-level engine, same structure as the default
 SMALL = AttackScenario(

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, exit codes, config merging, determinism."""
 
+import importlib
 import json
 import shutil
 import subprocess
@@ -190,6 +191,76 @@ def test_bad_detector_in_config_is_exit_3(tmp_path, capsys):
     assert run(capsys, ["keyrate", "--config", str(cfg)])[0] == 3
 
 
+def run_config(tmp_path, capsys, cmd, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return run(capsys, [cmd, "--config", str(path)])
+
+
+POINT = {"mu": 0.03, "nu-th": 5, "eta": 0.1}
+
+
+@pytest.mark.parametrize(
+    "cmd,cfg,key",
+    [
+        ("keyrate", {**POINT, "M": None}, "M"),
+        ("keyrate", {**POINT, "L": [1]}, "L"),
+        ("keyrate", {**POINT, "nu-th": 5.7}, "nu_th"),
+        ("keyrate", {**POINT, "mu": True}, "mu"),
+        ("keyrate", {**POINT, "eta": "high"}, "eta"),
+        ("keyrate", {**POINT, "detector": None}, "detector"),
+        ("curve", {"M-list": 5}, "M_list"),
+        ("curve", {"M-list": [1, "x"]}, "M_list"),
+        ("optimize", {"M-candidates": 5}, "M_candidates"),
+        ("optimize", {"M-candidates": None}, "M_candidates"),
+        ("attack", {"trials": 1.5}, "trials"),
+        ("mc-validate", {"mu": 0.01, "eta": 0.1, "mode": 1}, "mode"),
+    ],
+)
+def test_wrong_typed_config_value_is_exit_2_naming_key(tmp_path, capsys, cmd, cfg, key):
+    code, out, err = run_config(tmp_path, capsys, cmd, cfg)
+    assert code == 2
+    assert out == ""
+    assert key in err and "must be" in err
+
+
+def test_integral_float_config_value_is_accepted(tmp_path, capsys):
+    code, out, _ = run_config(tmp_path, capsys, "keyrate", {**POINT, "nu-th": 5.0, "M": 1e3})
+    assert code == 0
+    row = out.strip().split("\n")[1].split(",")
+    assert (row[1], row[6]) == ("1000", "5")
+
+
+def test_int_lists_parse_alike_from_strings_lists_and_flags(tmp_path, capsys):
+    sweep = {"eta-min": 1e-3, "eta-max": 1e-2, "eta-points": 2, "points-per-decade": 4, "L": 16}
+    flags = ["--eta-min", "1e-3", "--eta-max", "1e-2", "--eta-points", "2",
+             "--points-per-decade", "4", "--L", "16"]
+    for cmd, key, flag in [("curve", "M-list", ["--M-list", "1,10"]),
+                           ("optimize", "M-candidates", ["--M-candidates", "1", "10"])]:
+        outputs = [run_config(tmp_path, capsys, cmd, {**sweep, key: value})
+                   for value in ("1,10", " 1, 10,", [1, 10])]
+        outputs.append(run(capsys, [cmd, *flags, *flag]))
+        assert outputs[0][0] == 0
+        assert all(o == outputs[0] for o in outputs), cmd
+
+
+def test_mc_validate_has_no_dead_time_option(tmp_path, capsys):
+    argv = ["mc-validate", "--mu", "0.01", "--eta", "0.1", "--trials", "10"]
+    assert run(capsys, argv + ["--c-d", "5"])[0] == 2
+    code, _, err = run_config(tmp_path, capsys, "mc-validate", {"mu": 0.01, "eta": 0.1, "c-d": 5})
+    assert code == 2
+    assert "c_d" in err
+
+
+@pytest.mark.parametrize("flag,key", [("--mu", "mu"), ("--c-d", "c_d")])
+def test_infinite_mu_or_dead_time_is_exit_3_naming_field(capsys, flag, key):
+    argv = ["keyrate", "--mu", "0.03", "--nu-th", "12", "--eta", "0.1", flag, "inf"]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert f"error: {key} must be finite" in err
+
+
 def test_beamdump_requires_threshold_detector_exit_3(capsys):
     code, _, err = run(capsys, [
         "mc-validate", "--mu", "0.05", "--eta", "0.3", "--mode", "beamdump",
@@ -263,3 +334,49 @@ def test_console_script_entry_point():
     proc = subprocess.run(["slowqkd", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "keyrate" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# module seams that the traced benchmark (perfbench/) wraps
+
+
+SEAMS = [
+    ("slowqkd.cli", "sweep_curves"),
+    ("slowqkd.cli", "optimize_with_M"),
+    ("slowqkd.cli", "compare_to_analytic"),
+    ("slowqkd.cli", "run_attack"),
+    ("slowqkd.cli", "analytic_success"),
+    ("slowqkd.optimizer", "optimize_point"),
+    ("slowqkd.optimizer", "key_rate"),
+    ("slowqkd.optimizer", "replace"),
+    ("slowqkd._env", "worker_count"),
+]
+
+
+def test_commands_call_through_traced_module_names(monkeypatch, capsys):
+    calls = {seam: [] for seam in SEAMS}
+
+    def counting(seam, fn):
+        def wrapper(*args, **kwargs):
+            calls[seam].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for seam in SEAMS:
+        module = importlib.import_module(seam[0])
+        monkeypatch.setattr(module, seam[1], counting(seam, getattr(module, seam[1])))
+    monkeypatch.delenv("QKD_THREADS", raising=False)
+    sweep = ["--L", "8", "--eta-min", "1e-2", "--eta-max", "1e-1", "--eta-points", "2",
+             "--points-per-decade", "2"]
+    for argv in (
+        KEYRATE_ARGS,
+        ["curve", "--M-list", "1,10", *sweep],
+        ["optimize", "--M-candidates", "1", "10", *sweep],
+        ["attack", "--trials", "10"],
+        ["mc-validate", "--mu", "0.01", "--eta", "0.1", "--L", "8", "--trials", "10"],
+    ):
+        assert run(capsys, argv)[0] == 0, argv
+    assert [seam for seam in SEAMS if not calls[seam]] == []
+    points = calls[("slowqkd.optimizer", "optimize_point")]
+    assert len(points) == 8  # 2 M x 2 eta for curve, 2 eta x 2 candidates for optimize
+    assert all(isinstance(args[1], float) and isinstance(args[2], int) for args in points)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from slowqkd import (
     phase_error_pnr,
     phase_error_threshold,
 )
+from slowqkd import keyrate
 from slowqkd.keyrate import _geom_sum
 
 from oracles import (
@@ -282,7 +284,8 @@ def test_key_rate_dead_time_only_rescales():
 def test_threshold_with_zero_emb_equals_pnr(p):
     """The threshold rate with the multi-detection bound forced to zero
     must coincide with the PNR rate — same detections, same penalties."""
-    thr = key_rate(p, e_mB_override=0.0)
+    with patch.object(keyrate, "e_mB", lambda p: 0.0):
+        thr = key_rate(p)
     pnr = key_rate(replace(p, detector=Detector.PNR))
     assert thr.G_raw == pnr.G_raw
     assert thr.G == pnr.G
@@ -317,7 +320,8 @@ def test_key_rate_invariants(p):
         (dict(e_sys=1.2), "e_sys"),
         (dict(d_c=-1e-9), "d_c"),
         (dict(c_d=-1.0), "c_d"),
-        (dict(T=0.0), "T"),
+        (dict(mu=math.inf), "mu"),
+        (dict(c_d=math.inf), "c_d"),
     ],
 )
 def test_protocol_params_validation(kwargs, needle):

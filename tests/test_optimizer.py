@@ -17,8 +17,9 @@ from slowqkd import (
     optimize_with_M,
     sweep_curves,
 )
+from slowqkd import optimizer
 from slowqkd.optimizer import MU_MAX, MU_MIN
-from slowqkd._env import worker_count
+from slowqkd._env import parallel_map, pool_size, worker_count
 
 from oracles import brute_force_optimum
 
@@ -84,10 +85,13 @@ def test_grid_refinement_is_converged():
     assert o40.result.G == pytest.approx(o20.result.G, rel=5e-3)
 
 
-def test_full_scan_matches_early_stop():
+def test_full_scan_matches_early_stop(monkeypatch):
     for eta, M in [(1e-2, 1), (1e-3, 100)]:
         fast = optimize_point(BASE, eta=eta, M=M)
-        full = optimize_point(BASE, eta=eta, M=M, full_scan=True)
+        # a decreasing run can never reach L, so every nu_th is scanned
+        with monkeypatch.context() as mp:
+            mp.setattr(optimizer, "_EARLY_STOP_RUN", BASE.L)
+            full = optimize_point(BASE, eta=eta, M=M)
         assert fast.result.G == full.result.G
         assert fast.nu_th_opt == full.nu_th_opt
 
@@ -209,3 +213,26 @@ def test_worker_count_parsing(monkeypatch):
     monkeypatch.setenv("QKD_THREADS", "many")
     with pytest.raises(ValueError):
         worker_count()
+
+
+def test_pool_size_caps_workers_at_tasks_and_cpus():
+    assert pool_size(10**6, 3, 2) == 2
+    assert pool_size(10**6, 3, 64) == 3
+    assert pool_size(4, 100, 8) == 4
+    assert pool_size(4, 0, 8) == 1
+    assert pool_size(4, 100, None) == 1
+
+
+def test_parallel_map_runs_in_process_at_one_worker(monkeypatch):
+    # a lambda cannot be pickled, so these calls prove no pool was started
+    monkeypatch.delenv("QKD_THREADS", raising=False)
+    assert parallel_map(lambda a, b: a - b, [(5, 1), (3, 2)]) == [4, 1]
+    monkeypatch.setenv("QKD_THREADS", str(10**6))
+    assert parallel_map(lambda a, b: a - b, [(5, 1)]) == [4]
+    assert parallel_map(lambda a: a, []) == []
+
+
+def test_parallel_map_keeps_task_order_in_a_pool(monkeypatch):
+    monkeypatch.setenv("QKD_THREADS", "2")
+    tasks = [(float(i), 3.0) for i in range(9)]
+    assert parallel_map(math.pow, tasks) == [math.pow(*t) for t in tasks]
