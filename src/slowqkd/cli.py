@@ -120,12 +120,21 @@ def _coerce(key: str, kind: object, value: object) -> object:
         wanted = "a list of integers"
     else:
         wanted = "an integer" if kind is int else "a number"
-        if kind is int and isinstance(value, float) and value.is_integer():
-            value = int(value)
-        accepted = (int, float, str) if kind is float else (int, str)
-        if isinstance(value, accepted) and not isinstance(value, bool):
+        number = value
+        if kind is int and isinstance(value, str):
+            # a flag "5.0" or "1e3" reads like the config value 5.0 or 1e3
+            for parse in (int, float):
+                try:
+                    number = parse(value)
+                    break
+                except ValueError:
+                    pass
+        if kind is int and isinstance(number, float) and number.is_integer():
+            number = int(number)
+        accepted = (int, float, str) if kind is float else (int,)
+        if isinstance(number, accepted) and not isinstance(number, bool):
             try:
-                return kind(value)
+                return kind(number)
             except (ValueError, OverflowError):
                 pass
     raise _UsageError(f"{key} must be {wanted}, got {value!r}")
@@ -205,8 +214,8 @@ def _eta_grid(m: dict) -> tuple[float, ...]:
     lo, hi, n = m["eta_min"], m["eta_max"], m["eta_points"]
     if n < 1:
         raise ValueError(f"eta_points must be >= 1, got {n}")
-    if lo <= 0.0 or hi <= 0.0:
-        raise ValueError("eta_min and eta_max must be positive")
+    if not (0.0 < lo <= 1.0 and 0.0 < hi <= 1.0):
+        raise ValueError(f"eta_min and eta_max must lie in (0, 1], got {lo} and {hi}")
     if n == 1:
         return (hi,)
     if lo >= hi:

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gammainc
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "phase_error_pnr",
     "phase_error_threshold",
     "key_rate",
+    "rate_grid",
 ]
 
 
@@ -39,6 +43,21 @@ class Detector(str, enum.Enum):
 
     PNR = "pnr"  # photon-number resolving
     THRESHOLD = "threshold"  # binary click/no-click
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _clicks_fit(L: int, d_c: float) -> bool:
+    """Whether s <= 1 - r holds for every lambda = L*eta*mu >= 0.
+
+    With D = (1-d_c)^(2L), 1 - r - s = 1 - e^(-lambda) (D + lambda/2) - L d_c
+    is smallest at lambda* = max(0, 1 - 2D).  L d_c <= 1/4 always passes
+    (Bernoulli and Bonferroni bounds on D), so callers test that first.
+    """
+    D = (1.0 - d_c) ** (2 * L)
+    lam = max(0.0, 1.0 - 2.0 * D)
+    return 1.0 - math.exp(-lam) * (D + 0.5 * lam) - L * d_c >= 0.0
 
 
 @dataclass(frozen=True)
@@ -67,6 +86,8 @@ class ProtocolParams:
             raise ValueError(f"L must be an integer >= 2, got {self.L}")
         if self.M < 1:
             raise ValueError(f"M must be an integer >= 1, got {self.M}")
+        if self.M * self.L > _FLOAT_MAX:
+            raise ValueError(f"M*L must not exceed {_FLOAT_MAX:.4g}, got M = {self.M}")
         if not 0.0 <= self.mu < math.inf:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if not 0 <= self.nu_th <= self.L - 1:
@@ -79,6 +100,11 @@ class ProtocolParams:
             raise ValueError(f"e_sys must be within [0, 1], got {self.e_sys}")
         if not 0.0 <= self.d_c <= 1.0:
             raise ValueError(f"d_c must be within [0, 1], got {self.d_c}")
+        if self.L * self.d_c > 0.25 and not _clicks_fit(self.L, self.d_c):
+            raise ValueError(
+                f"d_c = {self.d_c} is too large for L = {self.L}: the per-block "
+                "click rate s could exceed 1 - r, giving Q > 1"
+            )
         if not 0.0 <= self.c_d < math.inf:
             raise ValueError(f"c_d must be finite and >= 0, got {self.c_d}")
         if not isinstance(self.detector, Detector):
@@ -284,3 +310,55 @@ def key_rate(p: ProtocolParams) -> KeyRateResult:
         rate = 1.0 - binary_entropy(ebit) - frac - (1.0 - frac) * _phase_penalty(eph)
     g_raw = Q / (p.M * p.L + p.c_d) * rate
     return KeyRateResult(g_raw, max(0.0, g_raw), Q, ebit, eph, esl, emb)
+
+
+def _entropy_array(x: np.ndarray) -> np.ndarray:
+    """``binary_entropy`` elementwise; entries outside [0, 1] come out nan."""
+    h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return np.where((x == 0.0) | (x == 1.0), 0.0, h)
+
+
+def rate_grid(
+    base: ProtocolParams, eta: float, M: int, mu: Sequence[float], nu_th: Sequence[int]
+) -> np.ndarray:
+    """Clamped key rate G over a (nu_th, mu) grid at one (eta, M).
+
+    ``out[i, j]`` is ``key_rate(replace(base, eta=eta, M=M, mu=mu[j],
+    nu_th=nu_th[i])).G``: the same formulas, evaluated as numpy broadcasts,
+    with the same zeroing where ``key_rate`` reports a reason and the same
+    saturation of the phase penalty at e_ph >= 1/2.  numpy's vectorized
+    exp and log may round differently from ``math`` in the last place, so
+    entries agree with ``key_rate`` to rounding, not bit for bit.  The
+    arguments are not validated: ``mu`` and ``nu_th`` must lie in the
+    domain ``ProtocolParams`` accepts for ``base``.
+    """
+    L, d_c = base.L, base.d_c
+    mu = np.asarray(mu, dtype=float)
+    nu = np.asarray(nu_th)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = L * eta * mu
+        signal = 0.5 * lam * np.exp(-lam)
+        dark = L * d_c
+        log_r = -L * eta * mu + 2.0 * L * math.log1p(-d_c)
+        geom = np.where(log_r == 0.0, float(M), np.expm1(M * log_r) / np.expm1(log_r))
+        Q = (signal + dark) * geom
+        ebit = (signal * base.e_sys + 0.5 * dark) / (signal + dark)
+
+        esl = gammainc(nu + 1, L * mu)
+        if M > 1:
+            esl = np.where(esl == 1.0, 1.0, -np.expm1(M * np.log1p(-esl)))
+        emb = 0.0  # PNR; at e_mB = 0 the threshold formulas below are the PNR ones
+        if base.detector is Detector.THRESHOLD:
+            two_photon = 0.0625 * lam * lam * np.exp(-lam)
+            photon_dark = signal * (2 * L - 1) * d_c
+            dark_dark = L * (2 * L - 1) * d_c * d_c
+            emb = 8.0 * (two_photon + photon_dark + dark_dark) * geom
+        usable = Q - emb
+        x = esl / usable
+        eph = x + (1.0 - x) * (nu / float(L - 1))
+        penalty = np.where(eph >= 0.5, 1.0, _entropy_array(eph))
+        frac = emb / Q
+        rate = 1.0 - _entropy_array(ebit) - frac - (1.0 - frac) * penalty
+        g_raw = Q / (M * L + base.c_d) * rate
+    # usable > 0 implies Q > 0, since e_mB >= 0
+    return np.where((usable > 0.0) & (x <= 1.0) & (g_raw > 0.0), g_raw, 0.0)

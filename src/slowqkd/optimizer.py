@@ -1,10 +1,11 @@
 """Deterministic parameter optimization for the slow-basis key-rate model.
 
-For each candidate ``nu_th`` (scanned in ascending order, with early
-stopping once the rate has decayed for three consecutive values),
-``mu`` is maximized on a coarse logarithmic grid followed by golden-section
-refinement in log(mu).  ``M`` is picked from an explicit candidate list.
-No randomness is involved anywhere, so repeated runs are bit-identical.
+At one (eta, M) the rate is evaluated on a logarithmic mu grid times
+every ``nu_th`` in one array call (``keyrate.rate_grid``).  The ``nu_th``
+holding the grid maximum and its two neighbours are then refined by
+golden-section search in log(mu) through the scalar ``key_rate``.  ``M``
+is picked from an explicit candidate list.  No randomness is involved
+anywhere, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 
+import numpy as np
+
 from ._env import parallel_map
-from .keyrate import KeyRateResult, ProtocolParams, key_rate
+from .keyrate import KeyRateResult, ProtocolParams, key_rate, rate_grid
 
 __all__ = [
     "MU_MIN",
@@ -38,7 +41,7 @@ M_CANDIDATES_DEFAULT = tuple(a * 10**k for k in range(7) for a in (1, 2, 5))
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_ITERS = 32
-_EARLY_STOP_RUN = 3
+_GRID_CELLS = 1 << 16  # cells per rate_grid call, so memory stays bounded for any L
 
 
 @dataclass(frozen=True)
@@ -81,45 +84,38 @@ def mu_grid(points_per_decade: int = POINTS_PER_DECADE) -> list[float]:
     return [10.0 ** (lo + (hi - lo) * i / n) for i in range(n + 1)]
 
 
-def _g(base: ProtocolParams, eta: float, M: int, mu: float, nu_th: int) -> float:
-    p = replace(base, eta=eta, M=M, mu=mu, nu_th=nu_th)
-    return key_rate(p).G
-
-
 def _best_mu(
-    base: ProtocolParams, eta: float, M: int, nu_th: int, grid: list[float]
+    base: ProtocolParams, nu_th: int, grid: list[float], row: np.ndarray
 ) -> tuple[float, float]:
-    """Maximize clamped G over mu: coarse grid, then golden-section in log(mu).
+    """Maximize clamped G over mu at one nu_th: golden-section in log(mu).
 
-    Returns (G, mu); ties keep the smaller mu, so a flat-zero landscape
-    reports the grid's lower boundary.
+    ``row`` holds G on ``grid``; the search brackets its first maximum by
+    the two neighbouring grid points.  Returns (G, mu); ties keep the
+    smaller mu.
     """
-    best_g = -1.0
-    best_i = 0
-    for i, mu in enumerate(grid):
-        g = _g(base, eta, M, mu, nu_th)
-        if g > best_g:
-            best_g, best_i = g, i
-    best_mu = grid[best_i]
 
+    def g(logmu: float) -> float:
+        return key_rate(replace(base, mu=10.0**logmu, nu_th=nu_th)).G
+
+    best_i = int(np.argmax(row))
+    best_g, best_mu = float(row[best_i]), grid[best_i]
     a = math.log10(grid[max(best_i - 1, 0)])
     b = math.log10(grid[min(best_i + 1, len(grid) - 1)])
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    gc = _g(base, eta, M, 10.0**c, nu_th)
-    gd = _g(base, eta, M, 10.0**d, nu_th)
+    gc, gd = g(c), g(d)
     for _ in range(_REFINE_ITERS):
         if gc >= gd:
             b, d, gd = d, c, gc
             c = b - _GOLDEN * (b - a)
-            gc = _g(base, eta, M, 10.0**c, nu_th)
+            gc = g(c)
         else:
             a, c, gc = c, d, gd
             d = a + _GOLDEN * (b - a)
-            gd = _g(base, eta, M, 10.0**d, nu_th)
-        for g, logmu in ((gc, c), (gd, d)):
-            if g > best_g:
-                best_g, best_mu = g, 10.0**logmu
+            gd = g(d)
+        for gx, logmu in ((gc, c), (gd, d)):
+            if gx > best_g:
+                best_g, best_mu = gx, 10.0**logmu
     return best_g, best_mu
 
 
@@ -132,34 +128,29 @@ def optimize_point(
 ) -> Optimum:
     """Maximize the clamped key rate over (mu, nu_th) at one (eta, M).
 
-    nu_th runs over 0..L-1 in ascending order.  The rate is unimodal in
-    nu_th in practice, so the scan stops after the per-nu_th maximum has
-    decreased ``_EARLY_STOP_RUN`` (three) times in a row.  Ties prefer
-    the smaller nu_th (and the smaller mu within one nu_th).  When no
-    positive rate exists anywhere the reported point sits at the grid
+    Evaluates G on the whole mu grid x nu_th = 0..L-1 with ``rate_grid``
+    and takes the nu_th holding the largest grid value (ties prefer the
+    smaller nu_th, then the smaller mu).  That nu_th and its two
+    neighbours are refined in mu by golden-section search, and the best
+    of the three wins, ties again to the smaller nu_th.  When no grid
+    point has a positive rate the reported point sits at the grid
     boundaries (mu = MU_MIN, nu_th = 0) with G = 0.
     """
+    base = replace(base, eta=eta, M=M)  # validates eta and M before rate_grid sees them
     grid = mu_grid(points_per_decade)
-    best_g = -1.0
-    best_nu = 0
-    best_mu = grid[0]
-    prev = None
-    run = 0
-    for nu in range(base.L):
-        g, mu = _best_mu(base, eta, M, nu, grid)
-        if g > best_g:
-            best_g, best_nu, best_mu = g, nu, mu
-        if prev is not None:
-            if g < prev:
-                run += 1
-                if run >= _EARLY_STOP_RUN:
-                    break
-            else:
-                run = 0
-        prev = g
-    if best_g <= 0.0:
-        best_mu, best_nu = grid[0], 0
-    final = key_rate(replace(base, eta=eta, M=M, mu=best_mu, nu_th=best_nu))
+    chunk = max(1, _GRID_CELLS // len(grid))
+    best_g, best_nu, best_mu = 0.0, 0, grid[0]
+    for lo in range(0, base.L, chunk):
+        row_max = rate_grid(base, eta, M, grid, range(lo, min(lo + chunk, base.L))).max(axis=1)
+        i = int(np.argmax(row_max))
+        if row_max[i] > best_g:
+            best_g, best_nu = float(row_max[i]), lo + i
+    if best_g > 0.0:
+        nus = range(max(best_nu - 1, 0), min(best_nu + 2, base.L))
+        rows = rate_grid(base, eta, M, grid, nus)
+        refined = [(*_best_mu(base, nu, grid, row), nu) for nu, row in zip(nus, rows)]
+        _, best_mu, best_nu = max(refined, key=lambda t: t[0])  # first maximum: smaller nu_th
+    final = key_rate(replace(base, mu=best_mu, nu_th=best_nu))
     return Optimum(eta=eta, M=M, mu_opt=best_mu, nu_th_opt=best_nu, result=final)
 
 

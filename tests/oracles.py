@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import mpmath as mp
 import numpy as np
 
-from slowqkd import AttackScenario, Detector, ProtocolParams, key_rate
+from slowqkd import AttackScenario, Detector, ProtocolParams, key_rate, mu_grid
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,10 @@ def exact_ebit_pnr(p: ProtocolParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive optimizer reference
+# optimizer references
+
+# Relative precision of the (mu, nu_th) optimizer against these searches.
+OPTIMIZER_REL = 5e-3
 
 
 def brute_force_optimum(
@@ -165,6 +168,60 @@ def brute_force_optimum(
             g = key_rate(replace(base, mu=float(mu), nu_th=nu_th, eta=eta, M=M)).G
             if g > best[0]:
                 best = (g, float(mu), nu_th)
+    return best
+
+
+def scan_every_nu_optimum(
+    base: ProtocolParams, eta: float, M: int, points_per_decade: int = 20, early_stop: int = 3
+) -> tuple[float, float, int]:
+    """Scalar scan over nu_th = 0, 1, ... with a per-nu_th mu search; (G, mu, nu_th).
+
+    Each nu_th gets the optimizer's coarse log(mu) grid and 32 golden-section
+    steps around the grid maximum, one ``key_rate`` call per point.  The scan
+    stops once the per-nu_th maximum has fallen ``early_stop`` times in a row
+    (never, when ``early_stop`` >= L).  Ties keep the smaller nu_th and mu; a
+    flat-zero landscape reports (0, MU_MIN, 0).
+    """
+    grid = mu_grid(points_per_decade)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def g(mu: float, nu_th: int) -> float:
+        return key_rate(replace(base, eta=eta, M=M, mu=mu, nu_th=nu_th)).G
+
+    def best_mu(nu_th: int) -> tuple[float, float]:
+        coarse = [g(mu, nu_th) for mu in grid]
+        i = coarse.index(max(coarse))
+        best = (coarse[i], grid[i])
+        a = math.log10(grid[max(i - 1, 0)])
+        b = math.log10(grid[min(i + 1, len(grid) - 1)])
+        c, d = b - golden * (b - a), a + golden * (b - a)
+        gc, gd = g(10.0**c, nu_th), g(10.0**d, nu_th)
+        for _ in range(32):
+            if gc >= gd:
+                b, d, gd = d, c, gc
+                c = b - golden * (b - a)
+                gc = g(10.0**c, nu_th)
+            else:
+                a, c, gc = c, d, gd
+                d = a + golden * (b - a)
+                gd = g(10.0**d, nu_th)
+            for gx, logmu in ((gc, c), (gd, d)):
+                if gx > best[0]:
+                    best = (gx, 10.0**logmu)
+        return best
+
+    best = (-1.0, grid[0], 0)
+    prev, run = None, 0
+    for nu_th in range(base.L):
+        g_nu, mu = best_mu(nu_th)
+        if g_nu > best[0]:
+            best = (g_nu, mu, nu_th)
+        run = run + 1 if prev is not None and g_nu < prev else 0
+        if run >= early_stop:
+            break
+        prev = g_nu
+    if best[0] <= 0.0:
+        return (0.0, grid[0], 0)
     return best
 
 

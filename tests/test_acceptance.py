@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    OPTIMIZER_REL,
     brute_force_optimum,
     e_src_slow_oracle,
     poisson_upper_tail,
@@ -61,10 +62,8 @@ BASE = ProtocolParams(
 ETA_GRID = tuple(float(e) for e in np.logspace(-7.0, 0.0, 57))
 M_VALUES = (1, 100, 10_000, 1_000_000)
 
-# Relative precision of the (mu, nu_th) optimizer against exhaustive search
-# (test_08), and the per-block mean photon number L*eta*mu up to which the
-# leading-order channel model is checked against the Monte Carlo (test_07).
-OPTIMIZER_REL = 5e-3
+# The per-block mean photon number L*eta*mu up to which the leading-order
+# channel model is checked against the Monte Carlo (test_07).
 MODEL_LAMBDA_MAX = 0.01
 
 

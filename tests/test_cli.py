@@ -231,6 +231,28 @@ def test_integral_float_config_value_is_accepted(tmp_path, capsys):
     assert (row[1], row[6]) == ("1000", "5")
 
 
+def test_integral_float_flag_is_read_like_the_config_value(tmp_path, capsys):
+    from_config = run_config(tmp_path, capsys, "keyrate", {**POINT, "nu-th": 5.0, "M": 1e3})
+    from_flags = run(capsys, ["keyrate", "--mu", "0.03", "--nu-th", "5.0", "--eta", "0.1",
+                              "--M", "1e3"])
+    assert from_flags == from_config
+    assert from_flags[0] == 0
+    code, _, err = run(capsys, [*KEYRATE_ARGS, "--L", "8.5"])
+    assert code == 2 and "L must be an integer, got '8.5'" in err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["keyrate", "--mu", "0.03", "--nu-th", "1", "--eta", "0.1", "--M", str(10**400)], "M*L"),
+    (["curve", "--M-list", str(10**400), "--eta-points", "1"], "M*L"),
+    (["curve", "--eta-min", "1e-3", "--eta-max", "inf", "--eta-points", "2"], "eta_max"),
+])
+def test_values_past_the_float_range_are_exit_3(capsys, argv, key):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert key in err
+
+
 def test_int_lists_parse_alike_from_strings_lists_and_flags(tmp_path, capsys):
     sweep = {"eta-min": 1e-3, "eta-max": 1e-2, "eta-points": 2, "points-per-decade": 4, "L": 16}
     flags = ["--eta-min", "1e-3", "--eta-max", "1e-2", "--eta-points", "2",
@@ -259,6 +281,17 @@ def test_infinite_mu_or_dead_time_is_exit_3_naming_field(capsys, flag, key):
     assert code == 3
     assert out == ""
     assert f"error: {key} must be finite" in err
+
+
+def test_dark_counts_beyond_the_channel_model_are_exit_3_naming_d_c(tmp_path, capsys):
+    # L*d_c = 2 would give Q = 2.0098 at this point
+    out_path = tmp_path / "q.csv"
+    code, out, err = run(capsys, ["keyrate", "--mu", "0.001", "--nu-th", "0", "--eta", "0.01",
+                                  "--L", "2000", "--d-c", "1e-3", "--out", str(out_path)])
+    assert code == 3
+    assert out == ""
+    assert "error: d_c" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_beamdump_requires_threshold_detector_exit_3(capsys):

@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +21,11 @@ from slowqkd import (
     key_rate,
     phase_error_pnr,
     phase_error_threshold,
+    rate_grid,
 )
 from slowqkd import keyrate
 from slowqkd.keyrate import _geom_sum
+from slowqkd.optimizer import MU_MAX, MU_MIN
 
 from oracles import (
     binary_entropy_oracle,
@@ -303,6 +306,47 @@ def test_key_rate_invariants(p):
         assert res.G == 0.0
 
 
+def _assert_grid_matches_key_rate(p, mus, nus):
+    """rate_grid against key_rate, entry by entry.
+
+    Where key_rate reports a reason or G_raw <= 0 the grid must hold an
+    exact 0.  Elsewhere it must match G to 1e-12 relative.  G is a
+    difference of O(1) entropy terms times Q/(M L + c_d), and numpy's
+    vectorized exp/log may round differently from math's in the last
+    place, so near G = 0 the agreement is held to 1e-12 of that scale.
+    """
+    grid = rate_grid(p, p.eta, p.M, mus, nus)
+    assert grid.shape == (len(nus), len(mus))
+    for i, nu in enumerate(nus):
+        for j, mu in enumerate(mus):
+            res = key_rate(replace(p, mu=mu, nu_th=nu))
+            if res.reason is not None or res.G_raw <= 0.0:
+                assert grid[i, j] == 0.0, (mu, nu, res)
+            else:
+                scale = res.Q / (p.M * p.L + p.c_d)
+                assert grid[i, j] == pytest.approx(res.G, rel=1e-12, abs=1e-12 * scale), (mu, nu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    protocol_params(),
+    st.lists(st.floats(1e-9, 2.0), min_size=1, max_size=6),
+    st.data(),
+)
+def test_rate_grid_equals_key_rate(p, mus, data):
+    nus = data.draw(st.lists(st.integers(0, p.L - 1), min_size=1, max_size=6))
+    _assert_grid_matches_key_rate(p, [*mus, MU_MAX], [*nus, p.L - 1])
+
+
+@pytest.mark.parametrize("detector", list(Detector))
+@pytest.mark.parametrize("M", [1, 1000, 10**6])
+def test_rate_grid_without_dark_counts_down_to_mu_min(detector, M):
+    p = ProtocolParams(mu=0.1, nu_th=0, eta=1e-7, M=M, L=128, d_c=0.0, detector=detector)
+    mus = [MU_MIN, MU_MIN * 1.0001, 1e-3, MU_MAX]
+    for eta in (1e-9, 1e-4, 1.0):
+        _assert_grid_matches_key_rate(replace(p, eta=eta), mus, [0, 1, 5, 127])
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 
@@ -322,6 +366,9 @@ def test_key_rate_invariants(p):
         (dict(c_d=-1.0), "c_d"),
         (dict(mu=math.inf), "mu"),
         (dict(c_d=math.inf), "c_d"),
+        (dict(M=10**400), "M"),
+        (dict(L=2000, d_c=1e-3), "d_c"),
+        (dict(L=8, d_c=1.0), "d_c"),
     ],
 )
 def test_protocol_params_validation(kwargs, needle):
@@ -329,3 +376,23 @@ def test_protocol_params_validation(kwargs, needle):
     base.update(kwargs)
     with pytest.raises(ValueError, match=rf"\b{needle}\b"):
         ProtocolParams(**base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4096), st.floats(0.0, 1.0), st.floats(0.0, 4.0))
+def test_accepted_dark_count_rates_keep_Q_a_probability(L, d_c, lam):
+    """ProtocolParams takes d_c exactly when s <= 1 - r at every lambda.
+
+    Q = s (1 - r^M)/(1 - r) then stays <= 1 for every M; a refused d_c has
+    some lambda in [0, 1] with s > 1 - r (the worst lambda is 1 - 2D <= 1).
+    """
+    try:
+        p = ProtocolParams(mu=lam / L, nu_th=0, eta=1.0, M=10**6, L=L, d_c=d_c)
+    except ValueError:
+        assert L * d_c > 0.25
+        lams = np.linspace(0.0, 1.0, 20_001)
+        D = (1.0 - d_c) ** (2 * L)
+        excess = 0.5 * lams * np.exp(-lams) + L * d_c - (1.0 - np.exp(-lams) * D)
+        assert excess.max() > -1e-9
+        return
+    assert detection_rate_Q(p) <= 1.0 + 1e-12

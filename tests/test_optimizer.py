@@ -21,7 +21,7 @@ from slowqkd import optimizer
 from slowqkd.optimizer import MU_MAX, MU_MIN
 from slowqkd._env import parallel_map, pool_size, worker_count
 
-from oracles import brute_force_optimum
+from oracles import OPTIMIZER_REL, brute_force_optimum, scan_every_nu_optimum
 
 BASE = ProtocolParams(mu=0.1, nu_th=0, eta=1.0, M=1, L=128, e_sys=0.03, d_c=1e-9)
 
@@ -85,15 +85,33 @@ def test_grid_refinement_is_converged():
     assert o40.result.G == pytest.approx(o20.result.G, rel=5e-3)
 
 
-def test_full_scan_matches_early_stop(monkeypatch):
+@pytest.mark.parametrize("c_d", [0.0, 1.28e5])
+@pytest.mark.parametrize("detector", list(Detector))
+@pytest.mark.parametrize("M", [1, 10**3, 10**6])
+@pytest.mark.parametrize("eta", [1e-7, 1e-3, 1.0])
+def test_matches_scan_over_every_nu_th(eta, M, detector, c_d):
+    """The grid-then-refine optimizer against a scalar scan of every nu_th."""
+    base = replace(BASE, detector=detector, c_d=c_d)
+    g_ref, _, _ = scan_every_nu_optimum(base, eta, M)
+    o = optimize_point(base, eta=eta, M=M)
+    assert o.result.G == pytest.approx(g_ref, rel=OPTIMIZER_REL)
+    assert o.result.G >= g_ref * (1.0 - OPTIMIZER_REL)
+    if g_ref == 0.0:
+        assert (o.mu_opt, o.nu_th_opt, o.result.G) == (MU_MIN, 0, 0.0)
+
+
+def test_scan_oracle_early_stop_changes_nothing_here():
+    """The oracle's early stop, kept from the scalar optimizer, against a full scan."""
     for eta, M in [(1e-2, 1), (1e-3, 100)]:
-        fast = optimize_point(BASE, eta=eta, M=M)
-        # a decreasing run can never reach L, so every nu_th is scanned
-        with monkeypatch.context() as mp:
-            mp.setattr(optimizer, "_EARLY_STOP_RUN", BASE.L)
-            full = optimize_point(BASE, eta=eta, M=M)
-        assert fast.result.G == full.result.G
-        assert fast.nu_th_opt == full.nu_th_opt
+        assert scan_every_nu_optimum(BASE, eta, M) == scan_every_nu_optimum(
+            BASE, eta, M, early_stop=BASE.L
+        )
+
+
+def test_memory_bounding_chunks_give_the_same_optimum(monkeypatch):
+    whole = optimize_point(BASE, eta=1e-3, M=1000)
+    monkeypatch.setattr(optimizer, "_GRID_CELLS", 1)  # one nu_th per rate_grid call
+    assert optimize_point(BASE, eta=1e-3, M=1000) == whole
 
 
 def test_dead_channel_reports_boundary_point():
