@@ -30,7 +30,6 @@ from .keyrate import (
     key_rate,
     phase_error_pnr,
     phase_error_threshold,
-    rate_grid,
 )
 from .montecarlo import (
     McComparison,
@@ -67,7 +66,6 @@ __all__ = [
     "phase_error_pnr",
     "phase_error_threshold",
     "key_rate",
-    "rate_grid",
     "Optimum",
     "CurveSpec",
     "M_CANDIDATES_DEFAULT",

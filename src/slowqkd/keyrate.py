@@ -318,21 +318,19 @@ def _entropy_array(x: np.ndarray) -> np.ndarray:
     return np.where((x == 0.0) | (x == 1.0), 0.0, h)
 
 
-def rate_grid(
-    base: ProtocolParams, eta: float, M: int, mu: Sequence[float], nu_th: Sequence[int]
-) -> np.ndarray:
-    """Clamped key rate G over a (nu_th, mu) grid at one (eta, M).
+def rate_grid(p: ProtocolParams, mu: Sequence[float], nu_th: Sequence[int]) -> np.ndarray:
+    """Clamped key rate G over a (nu_th, mu) grid at the rest of ``p``.
 
-    ``out[i, j]`` is ``key_rate(replace(base, eta=eta, M=M, mu=mu[j],
-    nu_th=nu_th[i])).G``: the same formulas, evaluated as numpy broadcasts,
-    with the same zeroing where ``key_rate`` reports a reason and the same
-    saturation of the phase penalty at e_ph >= 1/2.  numpy's vectorized
-    exp and log may round differently from ``math`` in the last place, so
-    entries agree with ``key_rate`` to rounding, not bit for bit.  The
-    arguments are not validated: ``mu`` and ``nu_th`` must lie in the
-    domain ``ProtocolParams`` accepts for ``base``.
+    ``out[i, j]`` is ``key_rate(replace(p, mu=mu[j], nu_th=nu_th[i])).G``:
+    the same formulas, evaluated as numpy broadcasts, with the same zeroing
+    where ``key_rate`` reports a reason and the same saturation of the
+    phase penalty at e_ph >= 1/2.  numpy's vectorized exp and log may round
+    differently from ``math`` in the last place, so entries agree with
+    ``key_rate`` to rounding, not bit for bit.  ``p.mu`` and ``p.nu_th``
+    are ignored, and ``mu`` and ``nu_th`` are not validated: they must lie
+    in the domain ``ProtocolParams`` accepts for ``p``.
     """
-    L, d_c = base.L, base.d_c
+    L, d_c, eta, M = p.L, p.d_c, p.eta, p.M
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu_th)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -342,13 +340,13 @@ def rate_grid(
         log_r = -L * eta * mu + 2.0 * L * math.log1p(-d_c)
         geom = np.where(log_r == 0.0, float(M), np.expm1(M * log_r) / np.expm1(log_r))
         Q = (signal + dark) * geom
-        ebit = (signal * base.e_sys + 0.5 * dark) / (signal + dark)
+        ebit = (signal * p.e_sys + 0.5 * dark) / (signal + dark)
 
         esl = gammainc(nu + 1, L * mu)
         if M > 1:
             esl = np.where(esl == 1.0, 1.0, -np.expm1(M * np.log1p(-esl)))
         emb = 0.0  # PNR; at e_mB = 0 the threshold formulas below are the PNR ones
-        if base.detector is Detector.THRESHOLD:
+        if p.detector is Detector.THRESHOLD:
             two_photon = 0.0625 * lam * lam * np.exp(-lam)
             photon_dark = signal * (2 * L - 1) * d_c
             dark_dark = L * (2 * L - 1) * d_c * d_c
@@ -359,6 +357,6 @@ def rate_grid(
         penalty = np.where(eph >= 0.5, 1.0, _entropy_array(eph))
         frac = emb / Q
         rate = 1.0 - _entropy_array(ebit) - frac - (1.0 - frac) * penalty
-        g_raw = Q / (M * L + base.c_d) * rate
+        g_raw = Q / (M * L + p.c_d) * rate
     # usable > 0 implies Q > 0, since e_mB >= 0
     return np.where((usable > 0.0) & (x <= 1.0) & (g_raw > 0.0), g_raw, 0.0)

@@ -136,18 +136,18 @@ def optimize_point(
     point has a positive rate the reported point sits at the grid
     boundaries (mu = MU_MIN, nu_th = 0) with G = 0.
     """
-    base = replace(base, eta=eta, M=M)  # validates eta and M before rate_grid sees them
+    base = replace(base, eta=eta, M=M)  # validates eta and M, which rate_grid does not
     grid = mu_grid(points_per_decade)
     chunk = max(1, _GRID_CELLS // len(grid))
     best_g, best_nu, best_mu = 0.0, 0, grid[0]
     for lo in range(0, base.L, chunk):
-        row_max = rate_grid(base, eta, M, grid, range(lo, min(lo + chunk, base.L))).max(axis=1)
+        row_max = rate_grid(base, grid, range(lo, min(lo + chunk, base.L))).max(axis=1)
         i = int(np.argmax(row_max))
         if row_max[i] > best_g:
             best_g, best_nu = float(row_max[i]), lo + i
     if best_g > 0.0:
         nus = range(max(best_nu - 1, 0), min(best_nu + 2, base.L))
-        rows = rate_grid(base, eta, M, grid, nus)
+        rows = rate_grid(base, grid, nus)
         refined = [(*_best_mu(base, nu, grid, row), nu) for nu, row in zip(nus, rows)]
         _, best_mu, best_nu = max(refined, key=lambda t: t[0])  # first maximum: smaller nu_th
     final = key_rate(replace(base, mu=best_mu, nu_th=best_nu))

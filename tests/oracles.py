@@ -172,15 +172,14 @@ def brute_force_optimum(
 
 
 def scan_every_nu_optimum(
-    base: ProtocolParams, eta: float, M: int, points_per_decade: int = 20, early_stop: int = 3
+    base: ProtocolParams, eta: float, M: int, points_per_decade: int = 20
 ) -> tuple[float, float, int]:
     """Scalar scan over nu_th = 0, 1, ... with a per-nu_th mu search; (G, mu, nu_th).
 
     Each nu_th gets the optimizer's coarse log(mu) grid and 32 golden-section
     steps around the grid maximum, one ``key_rate`` call per point.  The scan
-    stops once the per-nu_th maximum has fallen ``early_stop`` times in a row
-    (never, when ``early_stop`` >= L).  Ties keep the smaller nu_th and mu; a
-    flat-zero landscape reports (0, MU_MIN, 0).
+    stops once the per-nu_th maximum has fallen three times in a row.  Ties
+    keep the smaller nu_th and mu; a flat-zero landscape reports (0, MU_MIN, 0).
     """
     grid = mu_grid(points_per_decade)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
@@ -217,7 +216,7 @@ def scan_every_nu_optimum(
         if g_nu > best[0]:
             best = (g_nu, mu, nu_th)
         run = run + 1 if prev is not None and g_nu < prev else 0
-        if run >= early_stop:
+        if run >= 3:
             break
         prev = g_nu
     if best[0] <= 0.0:

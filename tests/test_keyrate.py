@@ -21,10 +21,9 @@ from slowqkd import (
     key_rate,
     phase_error_pnr,
     phase_error_threshold,
-    rate_grid,
 )
 from slowqkd import keyrate
-from slowqkd.keyrate import _geom_sum
+from slowqkd.keyrate import _geom_sum, rate_grid
 from slowqkd.optimizer import MU_MAX, MU_MIN
 
 from oracles import (
@@ -315,7 +314,7 @@ def _assert_grid_matches_key_rate(p, mus, nus):
     vectorized exp/log may round differently from math's in the last
     place, so near G = 0 the agreement is held to 1e-12 of that scale.
     """
-    grid = rate_grid(p, p.eta, p.M, mus, nus)
+    grid = rate_grid(p, mus, nus)
     assert grid.shape == (len(nus), len(mus))
     for i, nu in enumerate(nus):
         for j, mu in enumerate(mus):

@@ -100,14 +100,6 @@ def test_matches_scan_over_every_nu_th(eta, M, detector, c_d):
         assert (o.mu_opt, o.nu_th_opt, o.result.G) == (MU_MIN, 0, 0.0)
 
 
-def test_scan_oracle_early_stop_changes_nothing_here():
-    """The oracle's early stop, kept from the scalar optimizer, against a full scan."""
-    for eta, M in [(1e-2, 1), (1e-3, 100)]:
-        assert scan_every_nu_optimum(BASE, eta, M) == scan_every_nu_optimum(
-            BASE, eta, M, early_stop=BASE.L
-        )
-
-
 def test_memory_bounding_chunks_give_the_same_optimum(monkeypatch):
     whole = optimize_point(BASE, eta=1e-3, M=1000)
     monkeypatch.setattr(optimizer, "_GRID_CELLS", 1)  # one nu_th per rate_grid call
