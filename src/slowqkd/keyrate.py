@@ -8,6 +8,12 @@ with probability s = (L*eta*mu/2) exp(-L*eta*mu) + L*d_c.  Multi-photon
 emissions are handled by tagging: the fraction of blocks carrying more
 than ``nu_th`` photons is treated as fully leaked, and the slow basis
 choice inflates that fraction to whole-sequence scope (``e_src_slow``).
+
+The model is written once (``_model``) over a namespace argument, in the
+style of the array API standard: ``math`` for one point (``key_rate`` and
+its views, the public helpers), numpy for the optimizer's grid (``rate_grid``).
+Only the branch points differ: the geometric sum at r = 1, e_src_slow at
+e_src = 1, the entropy endpoints, the e_ph >= 1/2 saturation, and gammainc.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import gammainc
@@ -34,7 +41,6 @@ __all__ = [
     "phase_error_pnr",
     "phase_error_threshold",
     "key_rate",
-    "rate_grid",
 ]
 
 
@@ -46,6 +52,7 @@ class Detector(str, enum.Enum):
 
 
 _FLOAT_MAX = sys.float_info.max
+_LAM_MAX = math.sqrt(_FLOAT_MAX)  # L*mu bound: keeps lambda^2 finite, as eta <= 1
 
 
 def _clicks_fit(L: int, d_c: float) -> bool:
@@ -88,8 +95,8 @@ class ProtocolParams:
             raise ValueError(f"M must be an integer >= 1, got {self.M}")
         if self.M * self.L > _FLOAT_MAX:
             raise ValueError(f"M*L must not exceed {_FLOAT_MAX:.4g}, got M = {self.M}")
-        if not 0.0 <= self.mu < math.inf:
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        if not 0.0 <= self.L * self.mu <= _LAM_MAX:
+            raise ValueError(f"mu must be finite and >= 0, L*mu <= {_LAM_MAX:.4g}, got {self.mu}")
         if not 0 <= self.nu_th <= self.L - 1:
             raise ValueError(
                 f"nu_th must be within [0, L-1] = [0, {self.L - 1}], got {self.nu_th}"
@@ -130,6 +137,33 @@ class KeyRateResult:
     reason: str | None = None
 
 
+def _h(xp, x):
+    """Binary entropy in bits for 0 < x < 1; the namespaces add the endpoints."""
+    return -x * xp.log2(x) - (1.0 - x) * xp.log2(1.0 - x)
+
+
+# The namespaces the model is written over.  Each carries its own branch
+# points: ``quotient`` takes ``at_zero`` where its denominator vanishes,
+# log1p(-1) = -inf, h(0) = h(1) = 0, and the phase penalty is one bit from
+# e_ph = 1/2 on: there the bound concedes all phase information, and h would
+# fall again and pass a worthless bound (e_ph = 1 at nu_th = L-1) as key.
+_SCALAR = SimpleNamespace(  # one operating point, with math
+    exp=math.exp, expm1=math.expm1,
+    log1p=lambda x: math.log1p(x) if x > -1.0 else -math.inf,
+    quotient=lambda a, b, at_zero: a / b if b else at_zero,
+    gammainc=lambda a, x: float(gammainc(a, x)),
+    entropy=lambda x: 0.0 if x == 0.0 or x == 1.0 else _h(math, x),
+    penalty=lambda e: 1.0 if e >= 0.5 else _SCALAR.entropy(e),
+)
+_ARRAY = SimpleNamespace(  # a (nu_th, mu) grid, with numpy under np.errstate
+    exp=np.exp, expm1=np.expm1, log1p=np.log1p,
+    quotient=lambda a, b, at_zero: np.where(b == 0.0, at_zero, a / b),
+    gammainc=gammainc,
+    entropy=lambda x: np.where((x == 0.0) | (x == 1.0), 0.0, _h(np, x)),
+    penalty=lambda e: np.where(e >= 0.5, 1.0, _ARRAY.entropy(e)),
+)
+
+
 def binary_entropy(x: float) -> float:
     """Binary Shannon entropy h(x) in bits, with h(0) = h(1) = 0.
 
@@ -138,9 +172,7 @@ def binary_entropy(x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary_entropy argument must be within [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return _SCALAR.entropy(x)
 
 
 def e_src(L: int, mu: float, nu_th: int) -> float:
@@ -161,6 +193,10 @@ def e_src(L: int, mu: float, nu_th: int) -> float:
     return float(gammainc(nu_th + 1, L * mu))
 
 
+def _e_src_slow(xp, e, M: int):
+    return e if M == 1 else -xp.expm1(M * xp.log1p(-e))  # exactly 1 at e = 1
+
+
 def e_src_slow(e_src_block: float, M: int) -> float:
     """Per-sequence tagged fraction 1 - (1 - e_src)^M over M blocks.
 
@@ -172,27 +208,59 @@ def e_src_slow(e_src_block: float, M: int) -> float:
         raise ValueError(f"e_src must be within [0, 1], got {e_src_block}")
     if M < 1:
         raise ValueError(f"M must be an integer >= 1, got {M}")
-    if M == 1:
-        return e_src_block
-    if e_src_block == 1.0:
-        return 1.0
-    return -math.expm1(M * math.log1p(-e_src_block))
+    return _e_src_slow(_SCALAR, e_src_block, M)
 
 
-def _silent_log_r(L: int, eta: float, mu: float, d_c: float) -> float:
-    """log of the per-block no-click probability r = e^{-L eta mu} (1-d_c)^{2L}."""
-    return -L * eta * mu + 2.0 * L * math.log1p(-d_c)
-
-
-def _geom_sum(log_r: float, M: int) -> float:
+def _geom_sum(xp, log_r, M: int):
     """sum_{m=0}^{M-1} r^m for r = exp(log_r) <= 1, exact in the r -> 1 limit.
 
-    Closed form expm1(M log r)/expm1(log r); returns M when r == 1.  Never
-    loops over M.
+    Closed form expm1(M log r)/expm1(log r); M when r == 1.  Never loops
+    over M.
     """
-    if log_r == 0.0:
-        return float(M)
-    return math.expm1(M * log_r) / math.expm1(log_r)
+    return xp.quotient(xp.expm1(M * log_r), xp.expm1(log_r), float(M))
+
+
+def _multi_detection(lam, decay, signal, L: int, d_c: float):
+    """Per-block rate of double-count candidates over the 2L slots (two
+    photons, photon+dark, dark+dark); looked up by name, so tests patch it."""
+    two_photon = 0.0625 * lam * lam * decay
+    photon_dark = signal * (2 * L - 1) * d_c
+    dark_dark = L * (2 * L - 1) * d_c * d_c
+    return two_photon + photon_dark + dark_dark
+
+
+def _phase_bound(x, nu_th, L: int):
+    return x + (1.0 - x) * (nu_th / (L - 1))  # tagged share x leaks fully, the rest nu_th/(L-1)
+
+
+def _model(xp, p: ProtocolParams, mu, nu_th):
+    """The rate model at (``mu``, ``nu_th``) and the rest of ``p``, over ``xp``.
+
+    Yields three stages: (Q, e_src_slow, e_mB); (e_bit, bound), where
+    ``bound`` says whether a phase-error bound exists; (e_ph, G_raw).  Over
+    ``_SCALAR``, take a stage only if the earlier ones leave a key (Q > 0,
+    then bound).  Per-point values branch only inside ``xp``.
+    """
+    L, M, d_c = p.L, p.M, p.d_c
+    lam = L * p.eta * mu
+    decay = xp.exp(-lam)
+    signal = 0.5 * lam * decay  # sifted photon clicks per block
+    dark = L * d_c
+    geom = _geom_sum(xp, -lam + 2.0 * L * math.log1p(-d_c), M)  # r: no click in 2L slots
+    Q = (signal + dark) * geom
+    emb = 0.0  # PNR detectors resolve photon number
+    if p.detector is Detector.THRESHOLD:
+        emb = 8.0 * _multi_detection(lam, decay, signal, L, d_c) * geom
+    esl = _e_src_slow(xp, xp.gammainc(nu_th + 1, L * mu), M)
+    yield Q, esl, emb
+    ebit = (signal * p.e_sys + 0.5 * dark) / (signal + dark)  # dark counts err at 1/2
+    usable = Q - emb  # double-count candidates are discarded
+    x = xp.quotient(esl, usable, math.nan)
+    yield ebit, (usable > 0.0) & (x <= 1.0)
+    eph = _phase_bound(x, nu_th, L)
+    frac = emb / Q
+    rate = 1.0 - xp.entropy(ebit) - frac - (1.0 - frac) * xp.penalty(eph)
+    yield eph, Q / (M * L + p.c_d) * rate
 
 
 def detection_rate_Q(p: ProtocolParams) -> float:
@@ -202,9 +270,7 @@ def detection_rate_Q(p: ProtocolParams) -> float:
     with the silent-block rate r and per-block click rate s from the
     module model.
     """
-    lam = p.L * p.eta * p.mu
-    s = 0.5 * lam * math.exp(-lam) + p.L * p.d_c
-    return s * _geom_sum(_silent_log_r(p.L, p.eta, p.mu, p.d_c), p.M)
+    return next(_model(_SCALAR, p, p.mu, p.nu_th))[0]
 
 
 def bit_error_rate(p: ProtocolParams) -> float:
@@ -214,12 +280,10 @@ def bit_error_rate(p: ProtocolParams) -> float:
     over blocks cancels against the one in Q.  Raises when the detection
     rate is zero (no sifted bits exist).
     """
-    lam = p.L * p.eta * p.mu
-    signal = 0.5 * lam * math.exp(-lam)
-    dark = p.L * p.d_c
-    if signal + dark == 0.0:
+    stages = _model(_SCALAR, p, p.mu, p.nu_th)
+    if next(stages)[0] <= 0.0:
         raise ValueError("bit error rate undefined: detection rate is zero")
-    return (signal * p.e_sys + 0.5 * dark) / (signal + dark)
+    return next(stages)[0]
 
 
 def e_mB(p: ProtocolParams) -> float:
@@ -230,14 +294,7 @@ def e_mB(p: ProtocolParams) -> float:
     summed over blocks like Q.  PNR detectors resolve photon number, so
     the bound is identically 0.
     """
-    if p.detector is Detector.PNR:
-        return 0.0
-    lam = p.L * p.eta * p.mu
-    two_photon = 0.0625 * lam * lam * math.exp(-lam)
-    photon_dark = 0.5 * lam * math.exp(-lam) * (2 * p.L - 1) * p.d_c
-    dark_dark = p.L * (2 * p.L - 1) * p.d_c * p.d_c
-    per_block = two_photon + photon_dark + dark_dark
-    return 8.0 * per_block * _geom_sum(_silent_log_r(p.L, p.eta, p.mu, p.d_c), p.M)
+    return next(_model(_SCALAR, p, p.mu, p.nu_th))[2]
 
 
 def phase_error_pnr(e_src_slow_val: float, Q: float, nu_th: int, L: int) -> float | None:
@@ -252,7 +309,7 @@ def phase_error_pnr(e_src_slow_val: float, Q: float, nu_th: int, L: int) -> floa
     x = e_src_slow_val / Q
     if x > 1.0:
         return None
-    return x + (1.0 - x) * (nu_th / (L - 1))
+    return _phase_bound(x, nu_th, L)
 
 
 def phase_error_threshold(
@@ -266,97 +323,39 @@ def phase_error_threshold(
     return phase_error_pnr(e_src_slow_val, Q - e_mB_val, nu_th, L)
 
 
-def _phase_penalty(e_ph: float) -> float:
-    """Privacy-amplification cost of a phase-error bound.
-
-    h(e_ph) on [0, 1/2).  At or beyond 1/2 the bound concedes full phase
-    information to the adversary and the cost saturates at one bit —
-    without the saturation, h would *decrease* again and a worthless
-    bound (e.g. nu_th = L - 1, where e_ph = 1 exactly) would masquerade
-    as a high key rate.
-    """
-    return 1.0 if e_ph >= 0.5 else binary_entropy(e_ph)
-
-
 def key_rate(p: ProtocolParams) -> KeyRateResult:
     """Secret-key rate per pulse slot at one operating point.
 
     PNR mode:        G = Q/(M L + c_d) [1 - h(e_bit) - h(e_ph)]
     Threshold mode:  G = Q/(M L + c_d) [1 - h(e_bit) - e_mB/Q - (1 - e_mB/Q) h(e_ph)]
 
-    At e_mB = 0 the threshold formula reduces to the PNR one.  A missing
-    phase-error bound is reported as G = 0 with a reason code instead of
-    raising.
+    At e_mB = 0 the threshold formula reduces to the PNR one, so the model
+    evaluates only the threshold one.  A missing phase-error bound is
+    reported as G = 0 with a reason code instead of raising.
     """
-    Q = detection_rate_Q(p)
-    esl = e_src_slow(e_src(p.L, p.mu, p.nu_th), p.M)
-    emb = 0.0 if p.detector is Detector.PNR else e_mB(p)
-
+    stages = _model(_SCALAR, p, p.mu, p.nu_th)
+    Q, esl, emb = next(stages)
     if Q <= 0.0:
         return KeyRateResult(0.0, 0.0, Q, math.nan, math.nan, esl, emb, reason="no_detection")
-
-    ebit = bit_error_rate(p)
-    if p.detector is Detector.PNR:
-        eph = phase_error_pnr(esl, Q, p.nu_th, p.L)
-    else:
-        eph = phase_error_threshold(esl, Q, emb, p.nu_th, p.L)
-    if eph is None:
+    ebit, bound = next(stages)
+    if not bound:
         return KeyRateResult(0.0, 0.0, Q, ebit, math.nan, esl, emb, reason="no_valid_bound")
-
-    if p.detector is Detector.PNR:
-        rate = 1.0 - binary_entropy(ebit) - _phase_penalty(eph)
-    else:
-        frac = emb / Q
-        rate = 1.0 - binary_entropy(ebit) - frac - (1.0 - frac) * _phase_penalty(eph)
-    g_raw = Q / (p.M * p.L + p.c_d) * rate
+    eph, g_raw = next(stages)
     return KeyRateResult(g_raw, max(0.0, g_raw), Q, ebit, eph, esl, emb)
-
-
-def _entropy_array(x: np.ndarray) -> np.ndarray:
-    """``binary_entropy`` elementwise; entries outside [0, 1] come out nan."""
-    h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-    return np.where((x == 0.0) | (x == 1.0), 0.0, h)
 
 
 def rate_grid(p: ProtocolParams, mu: Sequence[float], nu_th: Sequence[int]) -> np.ndarray:
     """Clamped key rate G over a (nu_th, mu) grid at the rest of ``p``.
 
-    ``out[i, j]`` is ``key_rate(replace(p, mu=mu[j], nu_th=nu_th[i])).G``:
-    the same formulas, evaluated as numpy broadcasts, with the same zeroing
-    where ``key_rate`` reports a reason and the same saturation of the
-    phase penalty at e_ph >= 1/2.  numpy's vectorized exp and log may round
-    differently from ``math`` in the last place, so entries agree with
-    ``key_rate`` to rounding, not bit for bit.  ``p.mu`` and ``p.nu_th``
-    are ignored, and ``mu`` and ``nu_th`` are not validated: they must lie
-    in the domain ``ProtocolParams`` accepts for ``p``.
+    ``out[i, j]`` is ``key_rate(replace(p, mu=mu[j], nu_th=nu_th[i])).G``,
+    zero where ``key_rate`` reports a reason, from the same model in numpy
+    broadcasts.  numpy's vectorized exp and log may round differently from
+    ``math`` in the last place, so entries agree with ``key_rate`` to
+    rounding, not bit for bit.  ``mu`` and ``nu_th`` replace ``p``'s and are
+    not validated: they must lie in the domain ``ProtocolParams`` accepts.
     """
-    L, d_c, eta, M = p.L, p.d_c, p.eta, p.M
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu_th)[:, None]
+    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu_th)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = L * eta * mu
-        signal = 0.5 * lam * np.exp(-lam)
-        dark = L * d_c
-        log_r = -L * eta * mu + 2.0 * L * math.log1p(-d_c)
-        geom = np.where(log_r == 0.0, float(M), np.expm1(M * log_r) / np.expm1(log_r))
-        Q = (signal + dark) * geom
-        ebit = (signal * p.e_sys + 0.5 * dark) / (signal + dark)
-
-        esl = gammainc(nu + 1, L * mu)
-        if M > 1:
-            esl = np.where(esl == 1.0, 1.0, -np.expm1(M * np.log1p(-esl)))
-        emb = 0.0  # PNR; at e_mB = 0 the threshold formulas below are the PNR ones
-        if p.detector is Detector.THRESHOLD:
-            two_photon = 0.0625 * lam * lam * np.exp(-lam)
-            photon_dark = signal * (2 * L - 1) * d_c
-            dark_dark = L * (2 * L - 1) * d_c * d_c
-            emb = 8.0 * (two_photon + photon_dark + dark_dark) * geom
-        usable = Q - emb
-        x = esl / usable
-        eph = x + (1.0 - x) * (nu / float(L - 1))
-        penalty = np.where(eph >= 0.5, 1.0, _entropy_array(eph))
-        frac = emb / Q
-        rate = 1.0 - _entropy_array(ebit) - frac - (1.0 - frac) * penalty
-        g_raw = Q / (M * L + p.c_d) * rate
-    # usable > 0 implies Q > 0, since e_mB >= 0
-    return np.where((usable > 0.0) & (x <= 1.0) & (g_raw > 0.0), g_raw, 0.0)
+        _, (_, bound), (_, g_raw) = _model(_ARRAY, p, mu, nu)
+    # bound implies Q > 0, since e_mB >= 0
+    return np.where(bound & (g_raw > 0.0), g_raw, 0.0)

@@ -96,7 +96,7 @@ def threshold_curves() -> dict[tuple[int, float], float]:
 
 def test_01_threshold_with_zero_emb_reduces_to_pnr(monkeypatch) -> None:
     """Forcing e_mB = 0 (and c_d = 0) collapses the threshold rate onto PNR."""
-    monkeypatch.setattr(keyrate, "e_mB", lambda p: 0.0)
+    monkeypatch.setattr(keyrate, "_multi_detection", lambda *args: 0.0)
     rng = np.random.default_rng(7)
     start = time.perf_counter()
     for _ in range(1000):

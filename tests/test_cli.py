@@ -2,10 +2,14 @@
 
 import importlib
 import json
+import platform
 import shutil
 import subprocess
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from slowqkd import Detector, ProtocolParams, key_rate
 from slowqkd.cli import ATTACK_HEADER, MC_HEADER, RATE_HEADER, main
@@ -294,6 +298,19 @@ def test_dark_counts_beyond_the_channel_model_are_exit_3_naming_d_c(tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mu,extra", [("1e308", []), ("1e200", ["--detector", "threshold"])],
+                         ids=["lambda", "lambda-squared"])
+def test_huge_mu_is_exit_3_naming_mu(tmp_path, capsys, mu, extra):
+    # L*mu beyond sqrt(float max) would overflow lambda (or lambda^2 in e_mB) to a nan
+    out_path = tmp_path / "g.csv"
+    code, out, err = run(capsys, ["keyrate", "--mu", mu, "--nu-th", "1", "--eta", "1",
+                                  "--L", "8", *extra, "--out", str(out_path)])
+    assert code == 3
+    assert out == ""
+    assert "error: mu" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_beamdump_requires_threshold_detector_exit_3(capsys):
     code, _, err = run(capsys, [
         "mc-validate", "--mu", "0.05", "--eta", "0.3", "--mode", "beamdump",
@@ -359,6 +376,36 @@ def test_output_identical_across_worker_counts(tmp_path, monkeypatch, capsys):
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+REPO = Path(__file__).resolve().parents[1]
+REFS = REPO / "perfbench" / "refs"
+
+
+def _versions_unlike_the_refs() -> list[str]:
+    made_with = json.loads((REFS / "PROVENANCE.json").read_text(encoding="utf-8"))
+    here = {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+    return [f"{k} {v} (refs: {made_with[k]})" for k, v in here.items() if v != made_with[k]]
+
+
+@pytest.mark.parametrize("fig,cmd", [("fig1", "curve"), ("fig2", "curve"), ("fig3", "optimize")])
+def test_figure_rows_match_the_reference_csvs(tmp_path, capsys, fig, cmd):
+    """The figure sweeps reproduce perfbench/refs byte for byte at the first,
+    last and two middle eta, each run alone as the benchmark runs it."""
+    unlike = _versions_unlike_the_refs()
+    if unlike:
+        pytest.skip("reference CSVs were made with other versions: " + ", ".join(unlike))
+    header, *rows = (REFS / f"{fig}.csv").read_text(encoding="utf-8").splitlines()
+    etas = list(dict.fromkeys(row.split(",", 1)[0] for row in rows))
+    for eta in (etas[0], etas[len(etas) // 3], etas[2 * len(etas) // 3], etas[-1]):
+        out = tmp_path / f"{fig}.csv"
+        argv = [cmd, "--config", str(REPO / "configs" / f"{fig}.json"),
+                "--eta-max", eta, "--eta-points", "1", "--out", str(out)]
+        assert main(argv) == 0, argv
+        assert out.read_text(encoding="utf-8").splitlines() == [
+            header, *(row for row in rows if row.split(",", 1)[0] == eta)
+        ], eta
+    capsys.readouterr()
 
 
 @pytest.mark.skipif(shutil.which("slowqkd") is None,

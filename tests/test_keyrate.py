@@ -23,7 +23,7 @@ from slowqkd import (
     phase_error_threshold,
 )
 from slowqkd import keyrate
-from slowqkd.keyrate import _geom_sum, rate_grid
+from slowqkd.keyrate import _SCALAR, _geom_sum, rate_grid
 from slowqkd.optimizer import MU_MAX, MU_MIN
 
 from oracles import (
@@ -151,13 +151,15 @@ def test_e_src_slow_is_a_probability(e, M):
 
 def test_detection_rate_spec_point():
     p = ProtocolParams(mu=0.01, nu_th=0, eta=1e-3, M=10, L=128, d_c=0.0)
-    assert detection_rate_Q(p) == pytest.approx(0.006355145176008324, rel=1e-9)
+    for got in (detection_rate_Q(p), key_rate(p).Q):
+        assert got == pytest.approx(0.006355145176008324, rel=1e-9)
 
 
 @pytest.mark.parametrize("M", [1, 2, 7, 100, 10_000])
 def test_detection_rate_matches_summation_oracle(M):
     p = ProtocolParams(mu=0.05, nu_th=0, eta=0.02, M=M, L=32, d_c=1e-6)
-    assert detection_rate_Q(p) == pytest.approx(detection_rate_oracle(p), rel=1e-12)
+    for got in (detection_rate_Q(p), key_rate(p).Q):
+        assert got == pytest.approx(detection_rate_oracle(p), rel=1e-12)
 
 
 def test_detection_rate_zero_without_light_or_dark():
@@ -168,24 +170,26 @@ def test_detection_rate_zero_without_light_or_dark():
 def test_geom_sum_closed_form_vs_direct():
     for log_r, M in [(-0.3, 7), (-1e-9, 1000), (0.0, 17), (-25.0, 3)]:
         direct = sum(math.exp(log_r) ** m for m in range(M))
-        assert _geom_sum(log_r, M) == pytest.approx(direct, rel=1e-12)
+        assert _geom_sum(_SCALAR, log_r, M) == pytest.approx(direct, rel=1e-12)
 
 
 def test_bit_error_rate_no_dark_is_e_sys():
     p = ProtocolParams(mu=0.1, nu_th=0, eta=0.1, M=1, L=16, e_sys=0.03, d_c=0.0)
     assert bit_error_rate(p) == 0.03
+    assert key_rate(p).e_bit == 0.03
 
 
 def test_bit_error_rate_dark_dominated_is_half():
     p = ProtocolParams(mu=1e-12, nu_th=0, eta=1e-6, M=1, L=16, e_sys=0.03, d_c=1e-3)
-    assert bit_error_rate(p) == pytest.approx(0.5, rel=1e-6)
+    for got in (bit_error_rate(p), key_rate(p).e_bit):
+        assert got == pytest.approx(0.5, rel=1e-6)
 
 
 def test_bit_error_rate_spec_point_is_e_sys_plus_dark_correction():
     p = ProtocolParams(mu=0.01, nu_th=0, eta=1e-3, M=1, L=128, e_sys=0.03, d_c=1e-9)
-    got = bit_error_rate(p)
-    assert got > 0.03  # dark counts pull the rate toward 1/2
-    assert got == pytest.approx(0.030094101552621724, rel=1e-12)
+    for got in (bit_error_rate(p), key_rate(p).e_bit):
+        assert got > 0.03  # dark counts pull the rate toward 1/2
+        assert got == pytest.approx(0.030094101552621724, rel=1e-12)
 
 
 def test_bit_error_rate_requires_detections():
@@ -197,6 +201,7 @@ def test_bit_error_rate_requires_detections():
 def test_e_mB_is_zero_for_pnr():
     p = ProtocolParams(mu=0.1, nu_th=0, eta=0.5, M=10, L=16, d_c=1e-4)
     assert e_mB(p) == 0.0
+    assert key_rate(p).e_mB == 0.0
 
 
 def test_e_mB_matches_summation_oracle():
@@ -204,8 +209,9 @@ def test_e_mB_matches_summation_oracle():
         mu=0.01, nu_th=0, eta=1e-3, M=1000, L=128, d_c=1e-9,
         detector=Detector.THRESHOLD,
     )
-    assert e_mB(p) == pytest.approx(0.0004624497134722845, rel=1e-12)
-    assert e_mB(p) == pytest.approx(e_mB_oracle(p), rel=1e-12)
+    for got in (e_mB(p), key_rate(p).e_mB):
+        assert got == pytest.approx(0.0004624497134722845, rel=1e-12)
+        assert got == pytest.approx(e_mB_oracle(p), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +292,7 @@ def test_key_rate_dead_time_only_rescales():
 def test_threshold_with_zero_emb_equals_pnr(p):
     """The threshold rate with the multi-detection bound forced to zero
     must coincide with the PNR rate — same detections, same penalties."""
-    with patch.object(keyrate, "e_mB", lambda p: 0.0):
+    with patch.object(keyrate, "_multi_detection", lambda *args: 0.0):
         thr = key_rate(p)
     pnr = key_rate(replace(p, detector=Detector.PNR))
     assert thr.G_raw == pnr.G_raw
@@ -368,6 +374,7 @@ def test_rate_grid_without_dark_counts_down_to_mu_min(detector, M):
         (dict(M=10**400), "M"),
         (dict(L=2000, d_c=1e-3), "d_c"),
         (dict(L=8, d_c=1.0), "d_c"),
+        (dict(mu=1.1e152), "mu"),  # L*mu beyond sqrt(float max): lambda^2 would overflow
     ],
 )
 def test_protocol_params_validation(kwargs, needle):
@@ -375,6 +382,13 @@ def test_protocol_params_validation(kwargs, needle):
     base.update(kwargs)
     with pytest.raises(ValueError, match=rf"\b{needle}\b"):
         ProtocolParams(**base)
+
+
+def test_largest_accepted_mu_keeps_the_rate_finite():
+    for detector in Detector:
+        res = key_rate(ProtocolParams(mu=1.6e153, nu_th=1, eta=1.0, L=8, detector=detector))
+        assert math.isfinite(res.Q) and math.isfinite(res.e_mB)
+        assert res.G == 0.0
 
 
 @settings(max_examples=300, deadline=None)
