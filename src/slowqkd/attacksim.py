@@ -24,13 +24,18 @@ at realistic transmission are single-detection sequences.
 ``run_attack`` draws only the per-sequence basis choices and the binomial
 basis-match counts (exact, fast).  The tests cross-check it against a
 pulse-by-pulse replay (``run_attack_events`` in ``tests/oracles.py``).
+Both engines here run through ``_env.seeded_chunks``, the chunked, seeded
+and pooled driver the Monte Carlo uses.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._env import check_run, seeded_chunks
 
 __all__ = [
     "AttackScenario",
@@ -42,7 +47,7 @@ __all__ = [
     "honest_baseline",
 ]
 
-_CHUNK_TRIALS = 1 << 16
+_INT64_MAX = np.iinfo(np.int64).max  # the largest binomial count numpy draws
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,11 @@ class AttackScenario:
             raise ValueError(f"p_z must be in (0, 1), got {self.p_z}")
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
+        if self.n_sequences * self.M > sys.float_info.max:
+            raise ValueError(f"n_sequences*M must not exceed {sys.float_info.max:.4g}, "
+                             f"got n_sequences = {self.n_sequences} and M = {self.M}")
+        if self.M > _INT64_MAX:
+            raise ValueError(f"M must not exceed {_INT64_MAX}, got {self.M}")
         if self.n_measured < 1:
             raise ValueError(f"n_measured must be >= 1, got {self.n_measured}")
         if self.n_clean < 0:
@@ -117,6 +127,16 @@ class AttackStats:
         return self.sifted_modified_total / self.trials
 
 
+def _attack_chunk(sc: AttackScenario, *, rng: np.random.Generator, count: int) -> tuple:
+    """(successes, basis-matched pulses, test-round errors) of ``count`` runs."""
+    nm = sc.n_measured
+    basis_z = rng.random((count, sc.n_forwarded)) < sc.p_z
+    successes = int((basis_z[:, :nm].all(axis=1) & (~basis_z[:, nm:]).all(axis=1)).sum())
+    matched = rng.binomial(sc.M, np.where(basis_z, sc.p_z, 1.0 - sc.p_z))
+    errors = rng.binomial(matched[:, :nm][~basis_z[:, :nm]], 0.5)
+    return successes, int(matched.sum()), int(errors.sum())
+
+
 def run_attack(sc: AttackScenario, trials: int, seed: int) -> AttackStats:
     """Exact sequence-level simulation of ``trials`` protocol runs.
 
@@ -128,30 +148,11 @@ def run_attack(sc: AttackScenario, trials: int, seed: int) -> AttackStats:
     probability 1/2.  All forwarded sequences produce exactly M
     detections, so modified sifting keeps nothing when M > 1.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    nm, nf = sc.n_measured, sc.n_forwarded
-    successes = 0
-    naive_total = 0
-    errors_total = 0
-    done = 0
-    index = 0
-    while done < trials:
-        count = min(_CHUNK_TRIALS, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-        basis_z = rng.random((count, nf)) < sc.p_z
-        successes += int((basis_z[:, :nm].all(axis=1) & (~basis_z[:, nm:]).all(axis=1)).sum())
-        matched = rng.binomial(sc.M, np.where(basis_z, sc.p_z, 1.0 - sc.p_z))
-        naive_total += int(matched.sum())
-        measured_x = matched[:, :nm][~basis_z[:, :nm]]
-        if measured_x.size:
-            errors_total += int(rng.binomial(measured_x, 0.5).sum())
-        done += count
-        index += 1
-    hist: dict[int, int] = {}
-    if sc.n_sequences > nf:
-        hist[0] = (sc.n_sequences - nf) * trials
-    hist[sc.M] = hist.get(sc.M, 0) + nf * trials
+    check_run(trials, seed)
+    nf = sc.n_forwarded
+    successes, naive_total, errors_total = seeded_chunks(_attack_chunk, (sc,), seed, trials, nf)
+    hist = {0: (sc.n_sequences - nf) * trials} if sc.n_sequences > nf else {}
+    hist[sc.M] = nf * trials  # M >= 1, so this never adds to the blocked count at 0
     return AttackStats(
         scenario=sc,
         trials=trials,
@@ -178,6 +179,14 @@ class HonestStats:
         return self.sifted_modified_total / self.trials
 
 
+def _honest_chunk(sc: AttackScenario, *, rng: np.random.Generator, count: int) -> tuple[int, int]:
+    """(naive, modified) sifted yield of ``count`` honest sequences."""
+    detections = rng.binomial(sc.M, sc.eta_nominal, count)
+    alice_z = rng.random(count) < sc.p_z
+    matched = rng.binomial(detections, np.where(alice_z, sc.p_z, 1.0 - sc.p_z))
+    return int(matched.sum()), int(matched[detections == 1].sum())
+
+
 def honest_baseline(sc: AttackScenario, trials: int, seed: int) -> HonestStats:
     """Sifted-key yield of the honest lossy channel under both sifting rules.
 
@@ -185,27 +194,10 @@ def honest_baseline(sc: AttackScenario, trials: int, seed: int) -> HonestStats:
     basis-matched detections.  Modified sifting keeps only sequences with
     exactly one detection, which at small M * eta is nearly all of them —
     the honest penalty of the countermeasure is mild while it zeroes the
-    attack.
+    attack.  Only totals are kept, so the trials x n_sequences sequences
+    run as one i.i.d. stream of width 1, and memory does not grow with
+    n_sequences.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    naive_total = 0
-    modified_total = 0
-    done = 0
-    index = 0
-    chunk = max(1, _CHUNK_TRIALS // max(1, sc.n_sequences // 64))
-    while done < trials:
-        count = min(chunk, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, index)))
-        detections = rng.binomial(sc.M, sc.eta_nominal, (count, sc.n_sequences))
-        alice_z = rng.random((count, sc.n_sequences)) < sc.p_z
-        matched = rng.binomial(detections, np.where(alice_z, sc.p_z, 1.0 - sc.p_z))
-        naive_total += int(matched.sum())
-        modified_total += int(matched[detections == 1].sum())
-        done += count
-        index += 1
-    return HonestStats(
-        trials=trials,
-        sifted_naive_total=naive_total,
-        sifted_modified_total=modified_total,
-    )
+    check_run(trials, seed)
+    totals = seeded_chunks(_honest_chunk, (sc,), seed, trials * sc.n_sequences, 1, stream=(1,))
+    return HonestStats(trials, *totals)

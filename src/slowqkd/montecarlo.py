@@ -21,9 +21,11 @@ Two modes:
   double count is recorded when both detectors' first clicks fall in the
   same block, necessarily the first clicked block.
 
-Trials are vectorized in fixed-size chunks; chunk i draws from substream
-(seed, i), so the statistics are a pure function of the configuration and
-do not depend on scheduling or worker count (QKD_THREADS).
+Trials are vectorized in chunks of at most ``CHUNK_ELEMENTS`` pulse slots
+(one sequence when M*L is larger) by ``_env.seeded_chunks``, the driver the
+attack study shares; chunk i draws from substream (seed, (i,)), so the
+statistics are a pure function of the configuration and do not depend on
+scheduling or worker count (QKD_THREADS).
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from ._env import parallel_map
+from ._env import check_run, seeded_chunks
 from .keyrate import Detector, ProtocolParams, bit_error_rate, detection_rate_Q, e_mB
 
 __all__ = [
@@ -47,11 +49,6 @@ __all__ = [
     "simulate",
     "compare_to_analytic",
 ]
-
-# Target element count of the per-slot arrays in one chunk.  Part of the
-# deterministic chunk schedule: changing it changes the substream layout
-# (not the distribution), so results are reproducible per package version.
-_CHUNK_TARGET = 1_000_000
 
 
 class McMode(str, enum.Enum):
@@ -69,10 +66,7 @@ class McConfig:
     mode: McMode = McMode.STANDARD
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_run(self.trials, self.seed)
         if self.mode is McMode.BEAM_DUMP and self.params.detector is not Detector.THRESHOLD:
             raise ValueError("beam-dump mode is a threshold-detector diagnostic; "
                              "params.detector must be THRESHOLD")
@@ -288,22 +282,13 @@ def _sift_beamdump(p: ProtocolParams, ev: dict) -> tuple[McStats, np.ndarray]:
 # driver
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
-def _chunk_schedule(trials: int, M: int, L: int) -> list[int]:
-    """Fixed chunk sizes for a given configuration (independent of workers)."""
-    size = max(1, _CHUNK_TARGET // (M * L))
-    full, rem = divmod(trials, size)
-    return [size] * full + ([rem] if rem else [])
-
-
-def _run_chunk(p: ProtocolParams, mode: McMode, seed: int, index: int, count: int) -> McStats:
-    rng = _chunk_rng(seed, index)
+def _chunk(p: ProtocolParams, mode: McMode, *, rng: np.random.Generator, count: int) -> tuple:
+    """The counters of ``count`` sequences, in ``McStats`` field order."""
     if mode is McMode.STANDARD:
-        return _sift_standard(p, _standard_events(p, rng, count))[0]
-    return _sift_beamdump(p, _beamdump_events(p, rng, count))[0]
+        stats = _sift_standard(p, _standard_events(p, rng, count))[0]
+    else:
+        stats = _sift_beamdump(p, _beamdump_events(p, rng, count))[0]
+    return (*astuple(stats)[:-1], Counter(stats.clicks_histogram))
 
 
 def simulate(cfg: McConfig) -> McStats:
@@ -312,19 +297,9 @@ def simulate(cfg: McConfig) -> McStats:
     Deterministic: identical configurations (including seed) produce
     identical statistics regardless of QKD_THREADS.
     """
-    sizes = _chunk_schedule(cfg.trials, cfg.params.M, cfg.params.L)
-    results = parallel_map(
-        _run_chunk, [(cfg.params, cfg.mode, cfg.seed, i, n) for i, n in enumerate(sizes)]
-    )
-    hist: Counter[int] = Counter()
-    for r in results:
-        hist.update(r.clicks_histogram)
-    counters = ("detected", "bit_errors", "double_counts", "multi_photon_blocks", "multi_photon_sequences")
-    return McStats(
-        sequences=cfg.trials,
-        clicks_histogram=dict(sorted(hist.items())),
-        **{key: sum(getattr(r, key) for r in results) for key in counters},
-    )
+    p = cfg.params
+    *counts, hist = seeded_chunks(_chunk, (p, cfg.mode), cfg.seed, cfg.trials, p.M * p.L)
+    return McStats(*counts, clicks_histogram=dict(sorted(hist.items())))
 
 
 def _z_score(empirical: float, analytic: float, stderr: float) -> float:

@@ -1,6 +1,8 @@
 """Intercept-resend attack bookkeeping, cross-engine agreement, controls."""
 
 import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -50,6 +52,25 @@ def test_scenario_field_validation():
         AttackScenario(M=0)
     with pytest.raises(ValueError, match="exceeds"):
         AttackScenario(n_sequences=50, n_measured=99, n_clean=1, eta_nominal=1.0)
+    # the budget check would overflow converting n_sequences*M to a float
+    with pytest.raises(ValueError, match="n_sequences"):
+        AttackScenario(n_sequences=10**400)
+    with pytest.raises(ValueError, match="n_sequences"):
+        AttackScenario(M=10**400)
+    # numpy draws binomial counts up to int64 only
+    with pytest.raises(ValueError, match="M must not exceed"):
+        AttackScenario(M=2**63, n_sequences=1, n_measured=1, n_clean=0, eta_nominal=1.0)
+    run_attack(AttackScenario(M=2**62, n_sequences=1, n_measured=1, n_clean=0, eta_nominal=1.0), 3, 1)
+
+
+def test_run_sizes_past_sys_maxsize_and_negative_seeds_are_refused():
+    for engine in (run_attack, honest_baseline):
+        with pytest.raises(ValueError, match="trials"):
+            engine(SMALL, trials=sys.maxsize + 1, seed=1)
+        with pytest.raises(ValueError, match="trials"):
+            engine(SMALL, trials=0, seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            engine(SMALL, trials=10, seed=-1)
 
 
 def test_run_attack_success_frequency():
@@ -111,6 +132,14 @@ def test_run_attack_deterministic():
     assert a == b
 
 
+def test_honest_baseline_independent_of_worker_count(monkeypatch):
+    # 2.5*10^6 sequences: three chunks of at most 10^6 (run_attack: test_cli)
+    monkeypatch.delenv("QKD_THREADS", raising=False)
+    serial = honest_baseline(DEFAULT_SCENARIO, 250, 8)
+    monkeypatch.setenv("QKD_THREADS", "2")
+    assert honest_baseline(DEFAULT_SCENARIO, 250, 8) == serial
+
+
 # ---------------------------------------------------------------------------
 # pulse-level reference engine
 
@@ -164,6 +193,20 @@ def test_honest_baseline_mean_yield():
     st = honest_baseline(sc, trials=400, seed=28)
     se = math.sqrt(500.0 / 400)  # per-trial totals are nearly Poisson(500)
     assert abs(st.sifted_naive_mean - 500.0) <= 3.0 * se
+
+
+def test_honest_baseline_memory_does_not_grow_with_n_sequences(monkeypatch):
+    # one trial of 4*10^6 sequences runs in chunks of 10^6, not as one
+    # (1, n_sequences) array per draw (a 100 MB traced peak when it did)
+    monkeypatch.delenv("QKD_THREADS", raising=False)
+    sc = AttackScenario(n_sequences=4_000_000, n_measured=39_999, n_clean=1)
+    tracemalloc.start()
+    try:
+        honest_baseline(sc, trials=1, seed=30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_honest_baseline_survives_modified_sifting():

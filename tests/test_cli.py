@@ -311,6 +311,26 @@ def test_huge_mu_is_exit_3_naming_mu(tmp_path, capsys, mu, extra):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["attack", "--n-sequences", "1" + "0" * 400, "--n-measured", "99", "--n-clean", "1",
+      "--trials", "10"], "n_sequences"),
+    (["attack", "--M", "1" + "0" * 400, "--trials", "10"], "n_sequences*M"),
+    (["attack", "--M", str(2**63), "--n-sequences", "1", "--n-measured", "1", "--n-clean", "0",
+      "--eta-nominal", "1", "--trials", "10"], "M must not exceed"),
+    (["attack", "--trials", str(10**30)], "trials"),
+    (["mc-validate", "--mu", "0.01", "--eta", "0.1", "--L", "8", "--trials", str(10**30)],
+     "trials"),
+], ids=["attack-n_sequences", "attack-M", "attack-M-int64", "attack-trials", "mc-validate-trials"])
+def test_huge_run_sizes_are_exit_3_naming_the_field(tmp_path, capsys, argv, key):
+    # each was an OverflowError traceback (exit 1), or a loop over 10^25 chunks
+    out_path = tmp_path / "run.csv"
+    code, out, err = run(capsys, [*argv, "--seed", "1", "--out", str(out_path)])
+    assert code == 3
+    assert out == ""
+    assert f"error: {key}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_beamdump_requires_threshold_detector_exit_3(capsys):
     code, _, err = run(capsys, [
         "mc-validate", "--mu", "0.05", "--eta", "0.3", "--mode", "beamdump",
@@ -367,15 +387,17 @@ def test_reruns_are_byte_identical(tmp_path, capsys, argv):
 
 
 def test_output_identical_across_worker_counts(tmp_path, monkeypatch, capsys):
-    argv = ["mc-validate", "--mu", "0.01", "--eta", "0.05", "--L", "8",
-            "--trials", "40000", "--seed", "6"]
-    a, b = tmp_path / "serial.csv", tmp_path / "pool.csv"
-    monkeypatch.delenv("QKD_THREADS", raising=False)
-    assert main(argv + ["--out", str(a)]) == 0
-    monkeypatch.setenv("QKD_THREADS", "2")
-    assert main(argv + ["--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+    # both run in several chunks: 31,250 sequences or 10^4 attack runs each
+    for argv in (["mc-validate", "--mu", "0.01", "--eta", "0.05", "--L", "8",
+                  "--trials", "40000", "--seed", "6"],
+                 ["attack", "--trials", "40000", "--seed", "6"]):
+        a, b = tmp_path / "serial.csv", tmp_path / "pool.csv"
+        monkeypatch.delenv("QKD_THREADS", raising=False)
+        assert main(argv + ["--out", str(a)]) == 0
+        monkeypatch.setenv("QKD_THREADS", "2")
+        assert main(argv + ["--out", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes(), argv[0]
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -7,6 +7,7 @@ asserted separately with the O(lambda) gap made explicit.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,14 +22,8 @@ from slowqkd import (
     detection_rate_Q,
     simulate,
 )
-from slowqkd.montecarlo import (
-    _beamdump_events,
-    _chunk_rng,
-    _chunk_schedule,
-    _sift_beamdump,
-    _sift_standard,
-    _standard_events,
-)
+from slowqkd._env import CHUNK_ELEMENTS, chunk_schedule, substream
+from slowqkd.montecarlo import _beamdump_events, _sift_beamdump, _sift_standard, _standard_events
 
 from oracles import exact_Q_pnr, exact_ebit_pnr, replay_beamdump, replay_standard
 
@@ -49,7 +44,7 @@ BUSY_THR = ProtocolParams(
 
 @pytest.mark.parametrize("p", [BUSY_PNR, BUSY_THR], ids=["pnr", "threshold"])
 def test_sift_standard_matches_replay(p):
-    rng = _chunk_rng(seed=1234, index=0)
+    rng = substream(1234, (0,))
     ev = _standard_events(p, rng, 400)
     _, accepted, errored = _sift_standard(p, ev)
     for i in range(400):
@@ -61,7 +56,7 @@ def test_sift_beamdump_matches_replay():
     p = ProtocolParams(
         mu=1.5, nu_th=0, eta=0.9, M=3, L=4, d_c=0.05, detector=Detector.THRESHOLD
     )
-    rng = _chunk_rng(seed=99, index=0)
+    rng = substream(99, (0,))
     ev = _beamdump_events(p, rng, 400)
     _, double = _sift_beamdump(p, ev)
     for i in range(400):
@@ -69,7 +64,7 @@ def test_sift_beamdump_matches_replay():
 
 
 def test_multi_photon_counters_follow_ground_truth():
-    rng = _chunk_rng(seed=5, index=0)
+    rng = substream(5, (0,))
     ev = _standard_events(BUSY_PNR, rng, 300)
     counts, _, _ = _sift_standard(BUSY_PNR, ev)
     per_block = ev["n_bob"].sum(axis=2)
@@ -82,10 +77,19 @@ def test_multi_photon_counters_follow_ground_truth():
 
 
 def test_chunk_schedule_partitions_trials():
-    sizes = _chunk_schedule(10_000_001, M=4, L=8)
-    assert sum(sizes) == 10_000_001
-    assert set(sizes[:-1]) == {31_250}
-    assert _chunk_schedule(5, M=1, L=2) == [5]
+    cases = [(10_000_001, 4 * 8, ()), (5, 2, ()), (7, 3 * CHUNK_ELEMENTS, (1,)),
+             (2_500_000, 1, (1,)), (CHUNK_ELEMENTS, 7, (4, 2))]
+    for trials, width, stream in cases:
+        schedule = chunk_schedule(trials, width, stream)
+        assert sum(count for _, count in schedule) == trials
+        assert all(1 <= count * width <= max(CHUNK_ELEMENTS, width) for _, count in schedule)
+        assert [key for key, _ in schedule] == [(*stream, i) for i in range(len(schedule))]
+        assert {count for _, count in schedule[:-1]} <= {max(1, CHUNK_ELEMENTS // width)}
+    # M=4, L=8: the chunk sizes and (i,) keys every mc-validate CSV is made with
+    schedule = chunk_schedule(10_000_001, 4 * 8)
+    assert schedule[:2] == [((0,), 31_250), ((1,), 31_250)]
+    assert schedule[-1] == ((320,), 1)
+    assert chunk_schedule(5, 1 * 2) == [((0,), 5)]
 
 
 def test_simulate_is_deterministic():
@@ -114,6 +118,8 @@ def test_config_validation():
     p = ProtocolParams(mu=0.05, nu_th=0, eta=0.2, M=1, L=8)
     with pytest.raises(ValueError):
         McConfig(params=p, trials=0, seed=1)
+    with pytest.raises(ValueError, match="trials"):
+        McConfig(params=p, trials=sys.maxsize + 1, seed=1)
     with pytest.raises(ValueError):
         McConfig(params=p, trials=10, seed=-1)
     with pytest.raises(ValueError, match="THRESHOLD"):
