@@ -21,11 +21,14 @@ with more than one detection — therefore reduces Eve's contribution to the
 sifted key to zero (for M > 1) while keeping most honest detections, which
 at realistic transmission are single-detection sequences.
 
-``run_attack`` draws only the per-sequence basis choices and the binomial
-basis-match counts (exact, fast).  The tests cross-check it against a
-pulse-by-pulse replay (``run_attack_events`` in ``tests/oracles.py``).
-Both engines here run through ``_env.seeded_chunks``, the chunked, seeded
-and pooled driver the Monte Carlo uses.
+``run_attack`` draws each run from its basis counts: how many measured and
+how many clean sequences are Z sequences, then one binomial per kind of
+basis-matched pulse and one for the test-round errors.  That is exact for
+the reported totals, and a run costs the same however many sequences it
+has.  The tests cross-check it against a pulse-by-pulse replay
+(``run_attack_events`` in ``tests/oracles.py``).  Both engines here run
+in seeded chunks through ``_env.seeded_chunks``, as the Monte Carlo does,
+and add their totals as exact Python ints.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
 ]
 
 _INT64_MAX = np.iinfo(np.int64).max  # the largest binomial count numpy draws
+_RUN_ARRAYS = 5  # length-count arrays _attack_chunk holds: its width per run
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,6 @@ class AttackScenario:
         if self.n_sequences * self.M > sys.float_info.max:
             raise ValueError(f"n_sequences*M must not exceed {sys.float_info.max:.4g}, "
                              f"got n_sequences = {self.n_sequences} and M = {self.M}")
-        if self.M > _INT64_MAX:
-            raise ValueError(f"M must not exceed {_INT64_MAX}, got {self.M}")
         if self.n_measured < 1:
             raise ValueError(f"n_measured must be >= 1, got {self.n_measured}")
         if self.n_clean < 0:
@@ -80,6 +82,9 @@ class AttackScenario:
                 f"n_measured + n_clean = {self.n_forwarded} exceeds "
                 f"n_sequences = {self.n_sequences}"
             )
+        if self.n_forwarded * self.M > _INT64_MAX:  # the largest matched count of one run
+            raise ValueError(f"M must not exceed {_INT64_MAX // self.n_forwarded} "
+                             f"((2**63 - 1) // (n_measured + n_clean)), got {self.M}")
         if not 0.0 < self.eta_nominal <= 1.0:
             raise ValueError(f"eta_nominal must be in (0, 1], got {self.eta_nominal}")
         expected = round(self.n_sequences * self.M * self.eta_nominal)
@@ -127,30 +132,42 @@ class AttackStats:
         return self.sifted_modified_total / self.trials
 
 
+def _total(counts: np.ndarray, bound: int) -> int:
+    """Exact sum of ``counts``, each at most ``bound``: in int64 when that cannot wrap."""
+    return int(counts.sum()) if counts.size * bound <= _INT64_MAX else sum(counts.tolist())
+
+
 def _attack_chunk(sc: AttackScenario, *, rng: np.random.Generator, count: int) -> tuple:
     """(successes, basis-matched pulses, test-round errors) of ``count`` runs."""
-    nm = sc.n_measured
-    basis_z = rng.random((count, sc.n_forwarded)) < sc.p_z
-    successes = int((basis_z[:, :nm].all(axis=1) & (~basis_z[:, nm:]).all(axis=1)).sum())
-    matched = rng.binomial(sc.M, np.where(basis_z, sc.p_z, 1.0 - sc.p_z))
-    errors = rng.binomial(matched[:, :nm][~basis_z[:, :nm]], 0.5)
-    return successes, int(matched.sum()), int(errors.sum())
+    nm, nc, M, p = sc.n_measured, sc.n_clean, sc.M, sc.p_z
+    z_m = rng.binomial(nm, p, count)
+    z_c = rng.binomial(nc, p, count)
+    successes = int(np.count_nonzero((z_m == nm) & (z_c == 0)))
+    x_matched = rng.binomial(M * (nm - z_m), 1.0 - p)
+    matched = x_matched + rng.binomial(M * (z_m + z_c), p) + rng.binomial(M * (nc - z_c), 1.0 - p)
+    errors = rng.binomial(x_matched, 0.5)
+    return successes, _total(matched, M * sc.n_forwarded), _total(errors, M * nm)
 
 
 def run_attack(sc: AttackScenario, trials: int, seed: int) -> AttackStats:
-    """Exact sequence-level simulation of ``trials`` protocol runs.
+    """Exact simulation of ``trials`` protocol runs, drawn from basis counts.
 
-    Per forwarded sequence only two random quantities matter: Alice's
-    basis (Z with probability p_z) and the number of Bob's pulses whose
-    per-pulse basis matches it, which is Binomial(M, p_z) for a Z sequence
-    and Binomial(M, 1 - p_z) for an X sequence.  Test-round errors occur
-    only in measured X sequences, where each matched pulse is wrong with
+    Alice picks Z with probability p_z per sequence, so a run has Z_m ~
+    Binomial(n_measured, p_z) measured and Z_c ~ Binomial(n_clean, p_z)
+    clean Z sequences, and Eve succeeds when Z_m = n_measured and Z_c = 0.
+    Each of Bob's M pulses of a sequence matches its basis with probability
+    p_z (Z sequence) or 1 - p_z (X sequence), so the run's matched pulses
+    are Binomial(M*(Z_m + Z_c), p_z) + Binomial(M*(n_measured - Z_m),
+    1 - p_z) + Binomial(M*(n_clean - Z_c), 1 - p_z).  Test-round errors
+    occur only in measured X sequences, each matched pulse wrong with
     probability 1/2.  All forwarded sequences produce exactly M
     detections, so modified sifting keeps nothing when M > 1.
     """
     check_run(trials, seed)
     nf = sc.n_forwarded
-    successes, naive_total, errors_total = seeded_chunks(_attack_chunk, (sc,), seed, trials, nf)
+    successes, naive_total, errors_total = seeded_chunks(
+        _attack_chunk, (sc,), seed, trials, _RUN_ARRAYS
+    )
     hist = {0: (sc.n_sequences - nf) * trials} if sc.n_sequences > nf else {}
     hist[sc.M] = nf * trials  # M >= 1, so this never adds to the blocked count at 0
     return AttackStats(
@@ -182,9 +199,13 @@ class HonestStats:
 def _honest_chunk(sc: AttackScenario, *, rng: np.random.Generator, count: int) -> tuple[int, int]:
     """(naive, modified) sifted yield of ``count`` honest sequences."""
     detections = rng.binomial(sc.M, sc.eta_nominal, count)
-    alice_z = rng.random(count) < sc.p_z
-    matched = rng.binomial(detections, np.where(alice_z, sc.p_z, 1.0 - sc.p_z))
-    return int(matched.sum()), int(matched[detections == 1].sum())
+    n_z = rng.binomial(count, sc.p_z)  # sequences are exchangeable: the first n_z are Z
+    naive = modified = 0
+    for d, q in ((detections[:n_z], sc.p_z), (detections[n_z:], 1.0 - sc.p_z)):
+        single = rng.binomial(np.count_nonzero(d == 1), q)
+        modified += single
+        naive += single + _total(rng.binomial(d[d > 1], q), sc.M)
+    return naive, modified
 
 
 def honest_baseline(sc: AttackScenario, trials: int, seed: int) -> HonestStats:
@@ -194,9 +215,12 @@ def honest_baseline(sc: AttackScenario, trials: int, seed: int) -> HonestStats:
     basis-matched detections.  Modified sifting keeps only sequences with
     exactly one detection, which at small M * eta is nearly all of them —
     the honest penalty of the countermeasure is mild while it zeroes the
-    attack.  Only totals are kept, so the trials x n_sequences sequences
-    run as one i.i.d. stream of width 1, and memory does not grow with
-    n_sequences.
+    attack.  A chunk splits its sequences by basis with one binomial draw;
+    the single-detection sequences of a basis then keep a Binomial(their
+    count, match probability) total, and only sequences with two or more
+    detections draw their matches one by one.  Only totals are kept, so the
+    trials x n_sequences sequences run as one i.i.d. stream of width 1, and
+    memory does not grow with n_sequences.
     """
     check_run(trials, seed)
     totals = seeded_chunks(_honest_chunk, (sc,), seed, trials * sc.n_sequences, 1, stream=(1,))

@@ -63,6 +63,37 @@ def test_scenario_field_validation():
     run_attack(AttackScenario(M=2**62, n_sequences=1, n_measured=1, n_clean=0, eta_nominal=1.0), 3, 1)
 
 
+def test_totals_past_int64_are_exact_python_ints():
+    # one run holds up to M * n_forwarded = 2^62 matched pulses, so the
+    # totals of three or four runs pass 2^63 and must not wrap negative
+    M = 2**62
+    one = AttackScenario(M=M, n_sequences=1, n_measured=1, n_clean=0, eta_nominal=1.0)
+    stats = run_attack(one, 3, 1)
+    assert 0 <= stats.sifted_naive_total <= 3 * M
+    assert 0 <= stats.bit_errors_total <= 3 * M
+    honest = honest_baseline(one, 4, 1)
+    assert 0 <= honest.sifted_naive_total <= 4 * M
+    assert honest.sifted_modified_total == 0  # every sequence has M > 1 detections
+    # four forwarded sequences of 2^62 pulses are past what one binomial draws
+    with pytest.raises(ValueError, match="M must not exceed"):
+        AttackScenario(M=M, n_sequences=4, n_measured=4, n_clean=0, eta_nominal=1.0)
+
+
+def test_attack_memory_does_not_grow_with_n_forwarded(monkeypatch):
+    # 10^10 forwarded sequences per run, yet a run is five numbers: the peak
+    # must not scale with n_forwarded (a basis array would be 10^10 elements)
+    monkeypatch.delenv("QKD_THREADS", raising=False)
+    sc = AttackScenario(n_sequences=10**12, n_measured=10**10 - 1, n_clean=1)
+    tracemalloc.start()
+    try:
+        stats = run_attack(sc, trials=2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert 0 < stats.sifted_naive_total <= 2 * sc.M * sc.n_forwarded
+
+
 def test_run_sizes_past_sys_maxsize_and_negative_seeds_are_refused():
     for engine in (run_attack, honest_baseline):
         with pytest.raises(ValueError, match="trials"):
@@ -126,6 +157,43 @@ def test_run_attack_test_round_error_mean():
     assert stats.bit_errors_total / stats.trials == pytest.approx(expect, rel=0.05)
 
 
+def _error_moments(sc: AttackScenario) -> tuple[float, float]:
+    """Exact mean and variance of one run's test-round errors: per measured
+    sequence 1[X] * Binomial(M, (1 - p_z)/2), independently."""
+    x = 1.0 - sc.p_z
+    r = x / 2
+    mean = x * sc.M * r
+    second = x * (sc.M * r * (1 - r) + (sc.M * r) ** 2)
+    return sc.n_measured * mean, sc.n_measured * (second - mean**2)
+
+
+def _naive_moments(sc: AttackScenario) -> tuple[float, float]:
+    """Exact mean and variance of one run's basis-matched pulses: per forwarded
+    sequence Binomial(M, q) with q = p_z or 1 - p_z as Alice picks Z or X."""
+    p = sc.p_z
+    pi = p**2 + (1 - p) ** 2
+    kappa = p**3 + (1 - p) ** 3
+    return sc.n_forwarded * sc.M * pi, sc.n_forwarded * (sc.M * p * (1 - p) + sc.M**2 * (kappa - pi**2))
+
+
+def test_run_attack_totals_match_their_exact_moments():
+    sc = DEFAULT_SCENARIO
+    stats = run_attack(sc, trials=200_000, seed=32)
+    for total, (mean, var) in ((stats.bit_errors_total, _error_moments(sc)),
+                               (stats.sifted_naive_total, _naive_moments(sc))):
+        z = (total - stats.trials * mean) / math.sqrt(stats.trials * var)
+        assert abs(z) <= 4.0, (total, mean, var, z)
+
+
+def test_successful_runs_have_no_test_round_errors():
+    # one run per seed, so each AttackStats is one run's joint outcome
+    runs = [run_attack(SMALL, trials=1, seed=s) for s in range(3000)]
+    wins = [r for r in runs if r.successes]
+    assert len(wins) > 10  # about 0.9^20 * 0.1 * 3000 = 36.5
+    assert all(r.bit_errors_total == 0 for r in wins)
+    assert any(r.bit_errors_total > 0 for r in runs)
+
+
 def test_run_attack_deterministic():
     a = run_attack(DEFAULT_SCENARIO, trials=70_000, seed=5)
     b = run_attack(DEFAULT_SCENARIO, trials=70_000, seed=5)
@@ -168,6 +236,15 @@ def test_event_engine_agrees_with_sequence_engine_on_yield():
     ev_mean = sum(o.sifted_bits_naive for o in outcomes) / len(outcomes)
     seq = run_attack(SMALL, trials=50_000, seed=26)
     assert ev_mean == pytest.approx(seq.sifted_naive_mean, rel=0.05)
+
+
+def test_event_engine_agrees_with_sequence_engine_on_errors():
+    outcomes = run_attack_events(SMALL, trials=5000, seed=33)
+    ev_mean = sum(o.bit_errors for o in outcomes) / len(outcomes)
+    seq = run_attack(SMALL, trials=50_000, seed=34)
+    var = _error_moments(SMALL)[1]
+    se = math.sqrt(var / len(outcomes) + var / seq.trials)
+    assert abs(ev_mean - seq.bit_errors_total / seq.trials) <= 4.0 * se
 
 
 def test_event_engine_modified_equals_naive_at_single_pulse():

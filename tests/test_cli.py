@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import scipy
 
-from slowqkd import Detector, ProtocolParams, key_rate
+from slowqkd import Detector, ProtocolParams, attacksim, key_rate
+from slowqkd._env import chunk_schedule
 from slowqkd.cli import ATTACK_HEADER, MC_HEADER, RATE_HEADER, main
 
 KEYRATE_ARGS = ["keyrate", "--mu", "0.03", "--nu-th", "12", "--eta", "0.1"]
@@ -101,6 +102,19 @@ def test_attack_row_contains_analytic_value(capsys):
     assert float(vals["analytic_success"]) == pytest.approx(3.697e-3, abs=1e-6)
     assert vals["sifted_modified_mean"] == "0.0"
     assert vals["trials"] == "5000"
+
+
+def test_attack_means_past_int64_stay_in_range(capsys):
+    # three runs of up to 2^62 matched pulses each: the total passes 2^63
+    M = 2**62
+    code, out, _ = run(capsys, [
+        "attack", "--M", str(M), "--n-sequences", "1", "--n-measured", "1", "--n-clean", "0",
+        "--eta-nominal", "1.0", "--trials", "3", "--seed", "1",
+    ])
+    assert code == 0
+    header, row = out.strip().split("\n")
+    vals = dict(zip(header.split(","), row.split(",")))
+    assert 0.0 <= float(vals["sifted_naive_mean"]) <= M
 
 
 def test_mc_validate_standard_rows(capsys):
@@ -317,10 +331,13 @@ def test_huge_mu_is_exit_3_naming_mu(tmp_path, capsys, mu, extra):
     (["attack", "--M", "1" + "0" * 400, "--trials", "10"], "n_sequences*M"),
     (["attack", "--M", str(2**63), "--n-sequences", "1", "--n-measured", "1", "--n-clean", "0",
       "--eta-nominal", "1", "--trials", "10"], "M must not exceed"),
+    (["attack", "--M", str(2**62), "--n-sequences", "2", "--n-measured", "2", "--n-clean", "0",
+      "--eta-nominal", "1", "--trials", "10"], "M must not exceed"),
     (["attack", "--trials", str(10**30)], "trials"),
     (["mc-validate", "--mu", "0.01", "--eta", "0.1", "--L", "8", "--trials", str(10**30)],
      "trials"),
-], ids=["attack-n_sequences", "attack-M", "attack-M-int64", "attack-trials", "mc-validate-trials"])
+], ids=["attack-n_sequences", "attack-M", "attack-M-int64", "attack-M-times-forwarded", "attack-trials",
+        "mc-validate-trials"])
 def test_huge_run_sizes_are_exit_3_naming_the_field(tmp_path, capsys, argv, key):
     # each was an OverflowError traceback (exit 1), or a loop over 10^25 chunks
     out_path = tmp_path / "run.csv"
@@ -387,10 +404,13 @@ def test_reruns_are_byte_identical(tmp_path, capsys, argv):
 
 
 def test_output_identical_across_worker_counts(tmp_path, monkeypatch, capsys):
-    # both run in several chunks: 31,250 sequences or 10^4 attack runs each
-    for argv in (["mc-validate", "--mu", "0.01", "--eta", "0.05", "--L", "8",
+    # both run in several chunks: of 31,250 sequences (M*L = 4*8 elements
+    # each), or of 200,000 attack runs (attacksim._RUN_ARRAYS elements each)
+    assert len(chunk_schedule(40_000, 4 * 8)) == 2
+    assert len(chunk_schedule(500_000, attacksim._RUN_ARRAYS)) == 3
+    for argv in (["mc-validate", "--mu", "0.01", "--eta", "0.05", "--M", "4", "--L", "8",
                   "--trials", "40000", "--seed", "6"],
-                 ["attack", "--trials", "40000", "--seed", "6"]):
+                 ["attack", "--trials", "500000", "--seed", "6"]):
         a, b = tmp_path / "serial.csv", tmp_path / "pool.csv"
         monkeypatch.delenv("QKD_THREADS", raising=False)
         assert main(argv + ["--out", str(a)]) == 0

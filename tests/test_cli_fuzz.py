@@ -166,6 +166,8 @@ HUGE = "1" + "0" * 400
 @example((["attack", "--M", HUGE, "--trials", "10"], {}))
 @example((["attack", "--trials", "10"], {"M": 2**63, "n-sequences": 1, "n-measured": 1,
                                          "n-clean": 0, "eta-nominal": 1.0}))
+@example((["attack", "--trials", "10"], {"M": 2**62, "n-sequences": 2, "n-measured": 2,
+                                         "n-clean": 0, "eta-nominal": 1.0}))
 @example((["attack"], {"trials": 10**30}))
 def test_fuzzed_attack_exits_cleanly(case):
     _check(*case)
