@@ -263,6 +263,31 @@ def _model(xp, p: ProtocolParams, mu, nu_th):
     yield eph, Q / (M * L + p.c_d) * rate
 
 
+def _keyed_rows(p: ProtocolParams) -> int:
+    """How many nu_th rows, from 0 up, can carry key at ``p``'s L and e_sys.
+
+    Wherever a phase-error bound exists (x <= 1, e_mB < Q), three facts
+    hold.  e_ph = x + (1-x) nu_th/(L-1) >= nu_th/(L-1), and the penalty
+    does not fall as e_ph grows.  e_bit is a convex mix of e_sys and 1/2,
+    and h is concave with its peak at 1/2, so h(e_bit) >= h(e_sys).  With
+    f = e_mB/Q in [0, 1), the rate factor is therefore
+    1 - h(e_bit) - f - (1-f) penalty(e_ph) <= (1-f)(1 - h(e_sys) - penalty(nu_th/(L-1))),
+    which is <= 0 once nu_th/(L-1) >= x*, where x* in [0, 1/2] solves
+    h(x*) = 1 - h(e_sys).  Rows nu_th >= ceil(x* (L-1)) thus never give
+    G > 0; one spare row past them absorbs rounding.  Bisection keeps the
+    upper end, where h >= 1 - h(e_sys).
+    """
+    target = 1.0 - _SCALAR.entropy(p.e_sys)
+    lo, hi = 0.0, 0.5
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if _SCALAR.entropy(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return min(p.L, math.ceil(hi * (p.L - 1)) + 2)
+
+
 def detection_rate_Q(p: ProtocolParams) -> float:
     """Probability that a sequence yields a sifted detection.
 

@@ -1,9 +1,13 @@
 """Deterministic parameter optimization for the slow-basis key-rate model.
 
 At one (eta, M) the rate is evaluated on a logarithmic mu grid times
-every ``nu_th`` in one array call (``keyrate.rate_grid``).  The ``nu_th``
-holding the grid maximum and its two neighbours are then refined by
-golden-section search in log(mu) through the scalar ``key_rate``.  ``M``
+every ``nu_th`` that can carry key, in array calls (``keyrate.rate_grid``).
+Those are the rows below ceil(x* (L-1)) plus one spare, where
+h(x*) = 1 - h(e_sys): from there on the untagged phase-error bound
+nu_th/(L-1) alone costs every bit a sifted bit can carry, so the rows left
+out hold G = 0 exactly (``keyrate._keyed_rows`` derives this).  The
+``nu_th`` holding the grid maximum and its two neighbours are then refined
+by golden-section search in log(mu) through the scalar ``key_rate``.  ``M``
 is picked from an explicit candidate list.  No randomness is involved
 anywhere, so repeated runs are bit-identical.
 """
@@ -17,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from ._env import parallel_map
-from .keyrate import KeyRateResult, ProtocolParams, key_rate, rate_grid
+from .keyrate import KeyRateResult, ProtocolParams, _keyed_rows, key_rate, rate_grid
 
 __all__ = [
     "MU_MIN",
@@ -128,20 +132,23 @@ def optimize_point(
 ) -> Optimum:
     """Maximize the clamped key rate over (mu, nu_th) at one (eta, M).
 
-    Evaluates G on the whole mu grid x nu_th = 0..L-1 with ``rate_grid``
-    and takes the nu_th holding the largest grid value (ties prefer the
-    smaller nu_th, then the smaller mu).  That nu_th and its two
-    neighbours are refined in mu by golden-section search, and the best
-    of the three wins, ties again to the smaller nu_th.  When no grid
-    point has a positive rate the reported point sits at the grid
-    boundaries (mu = MU_MIN, nu_th = 0) with G = 0.
+    Evaluates G on the whole mu grid x nu_th = 0..min(L-1, ceil(x* (L-1)) + 1)
+    with ``rate_grid``, where h(x*) = 1 - h(e_sys): every later row has
+    G = 0 at every mu, so the result is the one over all L rows.  Takes
+    the nu_th holding the largest grid value (ties prefer the smaller
+    nu_th, then the smaller mu).  That nu_th and its two neighbours (up to
+    L-1) are refined in mu by golden-section search, and the best of the
+    three wins, ties again to the smaller nu_th.  When no grid point has a
+    positive rate the reported point sits at the grid boundaries
+    (mu = MU_MIN, nu_th = 0) with G = 0.
     """
     base = replace(base, eta=eta, M=M)  # validates eta and M, which rate_grid does not
     grid = mu_grid(points_per_decade)
     chunk = max(1, _GRID_CELLS // len(grid))
+    keyed = _keyed_rows(base)
     best_g, best_nu, best_mu = 0.0, 0, grid[0]
-    for lo in range(0, base.L, chunk):
-        row_max = rate_grid(base, grid, range(lo, min(lo + chunk, base.L))).max(axis=1)
+    for lo in range(0, keyed, chunk):
+        row_max = rate_grid(base, grid, range(lo, min(lo + chunk, keyed))).max(axis=1)
         i = int(np.argmax(row_max))
         if row_max[i] > best_g:
             best_g, best_nu = float(row_max[i]), lo + i

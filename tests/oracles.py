@@ -153,6 +153,27 @@ def exact_ebit_pnr(p: ProtocolParams) -> float:
 OPTIMIZER_REL = 5e-3
 
 
+def first_keyless_row_oracle(L: int, e_sys: float, dps: int = 60) -> int:
+    """ceil(x* (L-1)), where x* in [0, 1/2] solves h(x*) = 1 - h(e_sys).
+
+    From this nu_th on the untagged phase-error bound nu_th/(L-1) alone
+    costs at least the 1 - h(e_sys) bits a sifted bit can carry.  x* by
+    bisection at ``dps`` digits.
+    """
+    with mp.workdps(dps):
+        def h(x):
+            return mp.mpf(0) if x in (0, 1) else -x * mp.log(x, 2) - (1 - x) * mp.log(1 - x, 2)
+
+        target = 1 - h(mp.mpf(e_sys))
+        if target == 0:  # e_sys = 1/2: x* = 0
+            return 0
+        lo, hi = mp.mpf(0), mp.mpf(1) / 2
+        for _ in range(4 * dps):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if h(mid) < target else (lo, mid)
+        return int(mp.ceil(hi * (L - 1)))
+
+
 def brute_force_optimum(
     base: ProtocolParams,
     eta: float,

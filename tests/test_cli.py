@@ -424,19 +424,21 @@ REPO = Path(__file__).resolve().parents[1]
 REFS = REPO / "perfbench" / "refs"
 
 
-def _versions_unlike_the_refs() -> list[str]:
-    made_with = json.loads((REFS / "PROVENANCE.json").read_text(encoding="utf-8"))
+PROVENANCE = json.loads((REFS / "PROVENANCE.json").read_text(encoding="utf-8"))
+
+
+def _skip_unless_made_with_these_versions() -> None:
     here = {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
-    return [f"{k} {v} (refs: {made_with[k]})" for k, v in here.items() if v != made_with[k]]
+    unlike = [f"{k} {v} (refs: {PROVENANCE[k]})" for k, v in here.items() if v != PROVENANCE[k]]
+    if unlike:
+        pytest.skip("reference CSVs were made with other versions: " + ", ".join(unlike))
 
 
 @pytest.mark.parametrize("fig,cmd", [("fig1", "curve"), ("fig2", "curve"), ("fig3", "optimize")])
 def test_figure_rows_match_the_reference_csvs(tmp_path, capsys, fig, cmd):
     """The figure sweeps reproduce perfbench/refs byte for byte at the first,
     last and two middle eta, each run alone as the benchmark runs it."""
-    unlike = _versions_unlike_the_refs()
-    if unlike:
-        pytest.skip("reference CSVs were made with other versions: " + ", ".join(unlike))
+    _skip_unless_made_with_these_versions()
     header, *rows = (REFS / f"{fig}.csv").read_text(encoding="utf-8").splitlines()
     etas = list(dict.fromkeys(row.split(",", 1)[0] for row in rows))
     for eta in (etas[0], etas[len(etas) // 3], etas[2 * len(etas) // 3], etas[-1]):
@@ -448,6 +450,20 @@ def test_figure_rows_match_the_reference_csvs(tmp_path, capsys, fig, cmd):
             header, *(row for row in rows if row.split(",", 1)[0] == eta)
         ], eta
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3"])
+def test_whole_figures_match_the_reference_csvs(tmp_path, monkeypatch, capsys, fig):
+    """Each figure sweep, run whole with the argv recorded in PROVENANCE.json,
+    reproduces its reference CSV byte for byte."""
+    _skip_unless_made_with_these_versions()
+    argv = PROVENANCE["files"][f"{fig}.csv"]["argv"][1:]  # without the program name
+    out = tmp_path / f"{fig}.csv"
+    argv[argv.index("--out") + 1] = str(out)
+    monkeypatch.chdir(REPO)  # the config paths are relative to the repository root
+    assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert out.read_bytes() == (REFS / f"{fig}.csv").read_bytes()
 
 
 @pytest.mark.skipif(shutil.which("slowqkd") is None,

@@ -1,14 +1,18 @@
 """Parameter search: grid behavior, brute-force agreement, determinism."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowqkd import (
     Detector,
     M_CANDIDATES_DEFAULT,
     CurveSpec,
+    Optimum,
     ProtocolParams,
     heuristic_M,
     key_rate,
@@ -17,11 +21,17 @@ from slowqkd import (
     optimize_with_M,
     sweep_curves,
 )
-from slowqkd import optimizer
+from slowqkd import keyrate, optimizer
+from slowqkd.keyrate import rate_grid
 from slowqkd.optimizer import MU_MAX, MU_MIN
 from slowqkd._env import parallel_map, pool_size, worker_count
 
-from oracles import OPTIMIZER_REL, brute_force_optimum, scan_every_nu_optimum
+from oracles import (
+    OPTIMIZER_REL,
+    brute_force_optimum,
+    first_keyless_row_oracle,
+    scan_every_nu_optimum,
+)
 
 BASE = ProtocolParams(mu=0.1, nu_th=0, eta=1.0, M=1, L=128, e_sys=0.03, d_c=1e-9)
 
@@ -104,6 +114,59 @@ def test_memory_bounding_chunks_give_the_same_optimum(monkeypatch):
     whole = optimize_point(BASE, eta=1e-3, M=1000)
     monkeypatch.setattr(optimizer, "_GRID_CELLS", 1)  # one nu_th per rate_grid call
     assert optimize_point(BASE, eta=1e-3, M=1000) == whole
+
+
+def _fields(o: Optimum) -> list:
+    """Every field of an Optimum and of its result, flat, with NaN made comparable."""
+    flat = [*astuple(o)[:-1], *astuple(o.result)]
+    return ["nan" if isinstance(v, float) and math.isnan(v) else v for v in flat]
+
+
+def _every_row(p: ProtocolParams) -> int:
+    return p.L
+
+
+@pytest.mark.parametrize("detector", list(Detector))
+@pytest.mark.parametrize("eta", [1e-2, 1.0])
+@pytest.mark.parametrize("e_sys", [0.9, 0.97])
+def test_row_bound_keeps_the_optimum_above_half_e_sys(monkeypatch, e_sys, eta, detector):
+    """Past e_sys = 1/2 the key comes from flipped bits: h(e_sys), not
+    h(min(e_sys, 1/2)) = 1, sets the rows, and the optimum (past nu_th = 1
+    here) is the one found over every nu_th."""
+    base = replace(BASE, e_sys=e_sys, detector=detector)
+    bounded = optimize_point(base, eta=eta, M=1)
+    monkeypatch.setattr(optimizer, "_keyed_rows", _every_row)
+    full = optimize_point(base, eta=eta, M=1)
+    assert bounded.result.G > 0.0 and bounded.nu_th_opt > 1
+    assert _fields(bounded) == _fields(full)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 256),
+    st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 0.12), st.floats(0.88, 1.0)),
+    st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-4]),
+    st.sampled_from([0.0, 128.0, 1.28e5]),
+    st.sampled_from(list(Detector)),
+    st.floats(1e-7, 1.0),
+    st.sampled_from([1, 10, 1000, 10**6]),
+    st.floats(-6.0, 0.0),
+)
+def test_rows_past_the_bound_carry_no_key(L, e_sys, d_c, c_d, detector, eta, M, log_mu):
+    """Rows from ceil(x* (L-1)) on give G = 0 (keyrate._keyed_rows derives
+    why), the optimizer keeps one spare row past them, and bounding the
+    rows leaves the optimum as it is over every nu_th."""
+    base = ProtocolParams(mu=10.0**log_mu, nu_th=0, eta=eta, M=M, L=L, e_sys=e_sys,
+                          d_c=d_c, c_d=c_d, detector=detector)
+    first = first_keyless_row_oracle(L, e_sys)
+    rows = keyrate._keyed_rows(base)
+    assert rows >= min(L, first + 2)
+    assert not rate_grid(base, mu_grid(), range(first, L)).any()
+    if rows < L:
+        assert key_rate(replace(base, nu_th=rows)).G == 0.0
+    bounded = optimize_point(base, eta, M)
+    with patch.object(optimizer, "_keyed_rows", _every_row):
+        assert _fields(optimize_point(base, eta, M)) == _fields(bounded)
 
 
 def test_dead_channel_reports_boundary_point():
