@@ -38,9 +38,9 @@ import numpy as np
 from ._env import parallel_map
 from .attacksim import AttackScenario, analytic_success, run_attack
 from .keyrate import ProtocolParams, key_rate
-from .montecarlo import McConfig, McMode, binomial_stderr, compare_to_analytic
+from .montecarlo import McConfig, binomial_stderr, compare_to_analytic
 from .optimizer import (
-    M_CANDIDATES_DEFAULT, POINTS_PER_DECADE, CurveSpec, optimize_with_M, sweep_curves,
+    M_CANDIDATES_DEFAULT, POINTS_PER_DECADE, CurveSpec, Optimum, optimize_with_M, sweep_curves,
 )
 
 __all__ = ["main"]
@@ -63,7 +63,7 @@ class _UsageError(Exception):
 # options: name -> (type, default); MISSING marks a required option
 
 
-_INTS = tuple[int, ...]  # "1,10,100" or a JSON list of integers
+_INTS = tuple[int, ...]  # "1,10,100", flags 1 10 100, or a JSON list of integers
 
 
 def _options(cls: type, skip: tuple[str, ...] = (), **extra: tuple) -> dict[str, tuple]:
@@ -92,7 +92,7 @@ _HELP = {
     "e_sys": "optical misalignment error",
     "d_c": "dark count probability per slot",
     "c_d": "basis-switch dead time in pulse slots",
-    "M_list": "comma-separated M values, one curve each (e.g. 1,10,100)",
+    "M_list": "M values, one curve each (1,10,100 or 1 10 100)",
     "M_candidates": "M values to choose from at each point",
     "points_per_decade": "mu-grid density for the optimizer",
     "p_z": "probability of the key basis",
@@ -164,7 +164,8 @@ def _gather(args: argparse.Namespace) -> tuple[dict, str | None]:
         unknown = sorted(set(given) - set(options))
         if unknown:
             raise _UsageError(f"unknown config key(s) for {cmd}: {', '.join(unknown)}")
-    given.update(flags)
+    # a list flag's tokens ("--M-list 1 10") read as the string "1,10"
+    given.update({k: ",".join(v) if isinstance(v, list) else v for k, v in flags.items()})
     merged = {key: default for key, (_, default) in options.items() if default is not MISSING}
     merged.update({key: _coerce(key, options[key][0], v) for key, v in given.items()})
     missing = sorted(set(options) - set(merged))
@@ -182,11 +183,6 @@ def _build(cls: type, m: dict, **fixed: object) -> object:
 # plumbing
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-tripping decimal form; stable across runs."""
-    return repr(float(x))
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".slowqkd-", suffix=".tmp")
@@ -202,8 +198,20 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(out: str | None, header: str, rows: list[list[str]]) -> None:
-    text = "\n".join([header, *(",".join(r) for r in rows)]) + "\n"
+def _cell(value: object) -> str:
+    """An enum's value, an int or str as it is, else the shortest
+    round-tripping decimal form of the float; stable across runs."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (int, str)):
+        return str(value)
+    return repr(float(value))
+
+
+def _emit(out: str | None, header: str, rows: list[dict]) -> None:
+    """Write ``rows`` (column name -> value) as CSV cells in ``header``'s column order."""
+    names = header.split(",")
+    text = "\n".join([header, *(",".join(_cell(r[n]) for n in names) for r in rows)]) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -228,30 +236,9 @@ def _sweep_base(m: dict) -> ProtocolParams:
     return _build(ProtocolParams, m, mu=0.0, nu_th=0, eta=0.0)
 
 
-def _rate_row(
-    base: ProtocolParams, eta: float, M: int, mu: float, nu_th: int, res
-) -> list[str]:
-    return [
-        _fmt(eta),
-        str(M),
-        str(base.L),
-        base.detector.value,
-        _fmt(base.c_d),
-        _fmt(mu),
-        str(nu_th),
-        _fmt(res.Q),
-        _fmt(res.e_bit),
-        _fmt(res.e_ph),
-        _fmt(res.e_src_slow),
-        _fmt(res.e_mB),
-        _fmt(res.G_raw),
-        _fmt(res.G),
-    ]
-
-
-def _emit_optima(out: str | None, base: ProtocolParams, optima: list) -> None:
-    rows = [_rate_row(base, o.eta, o.M, o.mu_opt, o.nu_th_opt, o.result) for o in optima]
-    _emit(out, RATE_HEADER, rows)
+def _emit_optima(out: str | None, base: ProtocolParams, optima: list[Optimum]) -> None:
+    # L, detector and c_d from base; the optimum's eta and M replace base's
+    _emit(out, RATE_HEADER, [{**vars(base), **vars(o), **vars(o.result)} for o in optima])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +247,7 @@ def _emit_optima(out: str | None, base: ProtocolParams, optima: list) -> None:
 
 def cmd_keyrate(m: dict, out: str | None) -> None:
     p = _build(ProtocolParams, m)
-    _emit(out, RATE_HEADER, [_rate_row(p, p.eta, p.M, p.mu, p.nu_th, key_rate(p))])
+    _emit_optima(out, p, [Optimum(p.eta, p.M, p.mu, p.nu_th, key_rate(p))])
 
 
 def cmd_curve(m: dict, out: str | None) -> None:
@@ -281,31 +268,22 @@ def cmd_optimize(m: dict, out: str | None) -> None:
 def cmd_attack(m: dict, out: str | None) -> None:
     sc = _build(AttackScenario, m)
     stats = run_attack(sc, m["trials"], m["seed"])
-    row = [
-        _fmt(sc.p_z),
-        str(sc.M),
-        str(sc.n_sequences),
-        str(sc.n_measured),
-        str(sc.n_clean),
-        str(stats.trials),
-        _fmt(analytic_success(sc)),
-        _fmt(stats.empirical_success),
-        _fmt(binomial_stderr(stats.successes, stats.trials)),
-        _fmt(stats.sifted_naive_mean),
-        _fmt(stats.sifted_modified_mean),
-    ]
+    row = dict(
+        vars(sc),
+        trials=stats.trials,
+        analytic_success=analytic_success(sc),
+        empirical_success=stats.empirical_success,
+        stderr=binomial_stderr(stats.successes, stats.trials),
+        sifted_naive_mean=stats.sifted_naive_mean,
+        sifted_modified_mean=stats.sifted_modified_mean,
+    )
     _emit(out, ATTACK_HEADER, [row])
 
 
 def cmd_mc_validate(m: dict, out: str | None) -> None:
     # nu_th and c_d enter none of Q, e_bit and e_mB, nor the simulation.
-    p = _build(ProtocolParams, m, nu_th=0)
-    cfg = McConfig(params=p, trials=m["trials"], seed=m["seed"], mode=m["mode"])
-    rows = [
-        [c.quantity, _fmt(c.analytic), _fmt(c.empirical), _fmt(c.stderr), _fmt(c.z)]
-        for c in compare_to_analytic(cfg)
-    ]
-    _emit(out, MC_HEADER, rows)
+    cfg = _build(McConfig, m, params=_build(ProtocolParams, m, nu_th=0))
+    _emit(out, MC_HEADER, [vars(c) for c in compare_to_analytic(cfg)])
 
 
 # subcommand -> (handler, help, options)
@@ -327,7 +305,7 @@ _COMMANDS: dict[str, tuple] = {
     "mc-validate": (
         cmd_mc_validate,
         "event-level Monte Carlo vs analytic rates",
-        _options(ProtocolParams, ("nu_th", "c_d"), mode=(McMode, McMode.STANDARD), **_RUNS),
+        _options(ProtocolParams, ("nu_th", "c_d"), **_options(McConfig, ("params",), **_RUNS)),
     ),
 }
 
@@ -350,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=argparse.SUPPRESS,
                 help=_HELP.get(key),
                 choices=[e.value for e in kind] if isinstance(kind, enum.EnumMeta) else None,
-                nargs="+" if key == "M_candidates" else None,
+                nargs="+" if kind == _INTS else None,
             )
         sp.add_argument("--config", default=None, metavar="FILE",
                         help="JSON config; flags override its values")

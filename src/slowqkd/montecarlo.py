@@ -33,12 +33,12 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._env import check_run, seeded_chunks
-from .keyrate import Detector, ProtocolParams, bit_error_rate, detection_rate_Q, e_mB
+from .keyrate import Detector, ProtocolParams, key_rate
 
 __all__ = [
     "McMode",
@@ -203,29 +203,12 @@ def _first_click(flat: np.ndarray, L: int, M: int) -> tuple[np.ndarray, np.ndarr
     return any_click, block
 
 
-def _tally(
-    n_bob: np.ndarray, clicks_per_seq: np.ndarray, *,
-    detected: int = 0, bit_errors: int = 0, double_counts: int = 0,
-) -> McStats:
-    """Counters of one chunk: the sift's own counts plus the ground-truth
-    multi-photon counters and the click histogram that both sifts share."""
-    multi = n_bob.sum(axis=2) >= 2
-    return McStats(
-        sequences=len(clicks_per_seq),
-        detected=detected,
-        bit_errors=bit_errors,
-        double_counts=double_counts,
-        multi_photon_blocks=int(multi.sum()),
-        multi_photon_sequences=int(multi.any(axis=1).sum()),
-        clicks_histogram={int(k): int(v) for k, v in enumerate(np.bincount(clicks_per_seq)) if v > 0},
-    )
-
-
-def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[McStats, np.ndarray, np.ndarray]:
+def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the sifting rule to standard-mode events.
 
-    Returns the chunk counters plus the per-sequence (accepted, errored)
-    masks, so tests can replay the event log sequence by sequence.
+    Returns the per-sequence (accepted, errored, clicks): the two sift
+    masks, which tests replay sequence by sequence, and the click count
+    (PNR: total counts; threshold: detectors that ever clicked).
     """
     ev0, ev1, correct_det = ev["ev0"], ev["ev1"], ev["correct_det"]
     count = ev0.shape[0]
@@ -240,7 +223,7 @@ def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[McStats, np.ndarray, np
         accepted = any_click & (block_counts[rows, first_blk] == 1)
         wrong_counts = (ev0 * (correct_det == 1) + ev1 * (correct_det == 0)).sum(axis=2)
         errored = accepted & (wrong_counts[rows, first_blk] == 1)
-        clicks_per_seq = slot_counts.sum(axis=(1, 2))
+        clicks = slot_counts.sum(axis=(1, 2))
     else:
         c0 = (ev0 > 0).reshape(count, -1)
         c1 = (ev1 > 0).reshape(count, -1)
@@ -254,17 +237,12 @@ def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[McStats, np.ndarray, np
         t = np.where(in0, c0.argmax(axis=1), c1.argmax(axis=1))
         cd_flat = correct_det.reshape(count, -1)
         errored = accepted & (cd_flat[rows, t] != det)
-        clicks_per_seq = any0.astype(np.int64) + any1.astype(np.int64)
-
-    counts = _tally(
-        ev["n_bob"], clicks_per_seq,
-        detected=int(accepted.sum()), bit_errors=int(errored.sum()),
-    )
-    return counts, accepted, errored
+        clicks = any0.astype(np.int64) + any1.astype(np.int64)
+    return accepted, errored, clicks
 
 
-def _sift_beamdump(p: ProtocolParams, ev: dict) -> tuple[McStats, np.ndarray]:
-    """Double-count bookkeeping for beam-dump events.
+def _sift_beamdump(p: ProtocolParams, ev: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Double-count bookkeeping for beam-dump events: per-sequence (double, clicks).
 
     A detector's first click is unaffected by the partner's dead time, so
     the double-count condition reduces to: both detectors click at least
@@ -274,8 +252,7 @@ def _sift_beamdump(p: ProtocolParams, ev: dict) -> tuple[McStats, np.ndarray]:
     any_a, blk_a = _first_click(ev["ev_a"].reshape(count, -1), p.L, p.M)
     any_b, blk_b = _first_click(ev["ev_b"].reshape(count, -1), p.L, p.M)
     double = any_a & any_b & (blk_a == blk_b)
-    clicks_per_seq = any_a.astype(np.int64) + any_b.astype(np.int64)
-    return _tally(ev["n_bob"], clicks_per_seq, double_counts=int(double.sum())), double
+    return double, any_a.astype(np.int64) + any_b.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +260,25 @@ def _sift_beamdump(p: ProtocolParams, ev: dict) -> tuple[McStats, np.ndarray]:
 
 
 def _chunk(p: ProtocolParams, mode: McMode, *, rng: np.random.Generator, count: int) -> tuple:
-    """The counters of ``count`` sequences, in ``McStats`` field order."""
+    """The counters of ``count`` sequences, in ``McStats`` field order: the
+    sift's own counts, then the ground-truth multi-photon counters and the
+    click histogram that both modes share."""
+    accepted = errored = double = ()  # a mode's sift makes only its own masks; the rest count 0
     if mode is McMode.STANDARD:
-        stats = _sift_standard(p, _standard_events(p, rng, count))[0]
+        ev = _standard_events(p, rng, count)
+        accepted, errored, clicks = _sift_standard(p, ev)
     else:
-        stats = _sift_beamdump(p, _beamdump_events(p, rng, count))[0]
-    return (*astuple(stats)[:-1], Counter(stats.clicks_histogram))
+        ev = _beamdump_events(p, rng, count)
+        double, clicks = _sift_beamdump(p, ev)
+    multi = ev["n_bob"].sum(axis=2) >= 2
+    hist = Counter({k: v for k, v in enumerate(np.bincount(clicks).tolist()) if v > 0})
+    return (
+        count,
+        *(int(np.count_nonzero(mask)) for mask in (accepted, errored, double)),
+        int(multi.sum()),
+        int(multi.any(axis=1).sum()),
+        hist,
+    )
 
 
 def simulate(cfg: McConfig) -> McStats:
@@ -320,26 +310,13 @@ def compare_to_analytic(cfg: McConfig) -> list[McComparison]:
     at high dark-count rates).
     """
     stats = simulate(cfg)
-    p = cfg.params
-    rows: list[McComparison] = []
+    model = key_rate(cfg.params)  # e_bit is nan where Q = 0: no sifted bits exist
     if cfg.mode is McMode.STANDARD:
-        q_emp = stats.detection_rate()
-        q_se = stats.detection_stderr()
-        q_ana = detection_rate_Q(p)
-        rows.append(McComparison("Q", q_ana, q_emp, q_se, _z_score(q_emp, q_ana, q_se)))
-        if stats.detected > 0:
-            eb_emp = stats.bit_error_rate()
-            eb_se = stats.bit_error_stderr()
-        else:
-            eb_emp = math.nan
-            eb_se = math.nan
-        eb_ana = bit_error_rate(p) if q_ana > 0.0 else math.nan
-        rows.append(
-            McComparison("e_bit", eb_ana, eb_emp, eb_se, _z_score(eb_emp, eb_ana, eb_se))
-        )
+        # without detections the empirical e_bit is undefined; its stderr is nan then
+        eb_emp = stats.bit_error_rate() if stats.detected > 0 else math.nan
+        rows = [("Q", model.Q, stats.detection_rate(), stats.detection_stderr()),
+                ("e_bit", model.e_bit, eb_emp, stats.bit_error_stderr())]
     else:
-        emp = 8.0 * stats.double_count_rate()
-        se = 8.0 * stats.double_count_stderr()
-        ana = e_mB(p)
-        rows.append(McComparison("e_mB", ana, emp, se, _z_score(emp, ana, se)))
-    return rows
+        rows = [("e_mB", model.e_mB, 8.0 * stats.double_count_rate(),
+                 8.0 * stats.double_count_stderr())]
+    return [McComparison(q, ana, emp, se, _z_score(emp, ana, se)) for q, ana, emp, se in rows]

@@ -24,8 +24,6 @@ from ._env import parallel_map
 from .keyrate import KeyRateResult, ProtocolParams, _keyed_rows, key_rate, rate_grid
 
 __all__ = [
-    "MU_MIN",
-    "MU_MAX",
     "M_CANDIDATES_DEFAULT",
     "Optimum",
     "CurveSpec",

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
+import slowqkd
 from slowqkd import Detector, ProtocolParams, attacksim, key_rate
 from slowqkd._env import chunk_schedule
 from slowqkd.cli import ATTACK_HEADER, MC_HEADER, RATE_HEADER, main
@@ -37,6 +38,22 @@ def test_rate_header_is_stable():
         "empirical_success,stderr,sifted_naive_mean,sifted_modified_mean"
     )
     assert MC_HEADER == "quantity,analytic,empirical,stderr,z"
+
+
+def test_package_exports_each_module_all():
+    assert sorted(slowqkd.__all__) == sorted([
+        "Detector", "ProtocolParams", "KeyRateResult", "binary_entropy", "e_src",
+        "e_src_slow", "detection_rate_Q", "bit_error_rate", "e_mB", "phase_error_pnr",
+        "phase_error_threshold", "key_rate",
+        "Optimum", "CurveSpec", "M_CANDIDATES_DEFAULT", "mu_grid", "optimize_point",
+        "optimize_with_M", "heuristic_M", "sweep_curves",
+        "McMode", "McConfig", "McStats", "McComparison", "binomial_stderr", "simulate",
+        "compare_to_analytic",
+        "AttackScenario", "AttackStats", "HonestStats", "DEFAULT_SCENARIO",
+        "analytic_success", "run_attack", "honest_baseline",
+        "__version__",
+    ])
+    assert all(hasattr(slowqkd, name) for name in slowqkd.__all__)
 
 
 def test_keyrate_stdout_matches_library(capsys):
@@ -275,11 +292,11 @@ def test_int_lists_parse_alike_from_strings_lists_and_flags(tmp_path, capsys):
     sweep = {"eta-min": 1e-3, "eta-max": 1e-2, "eta-points": 2, "points-per-decade": 4, "L": 16}
     flags = ["--eta-min", "1e-3", "--eta-max", "1e-2", "--eta-points", "2",
              "--points-per-decade", "4", "--L", "16"]
-    for cmd, key, flag in [("curve", "M-list", ["--M-list", "1,10"]),
-                           ("optimize", "M-candidates", ["--M-candidates", "1", "10"])]:
+    for cmd, key in [("curve", "M-list"), ("optimize", "M-candidates")]:
         outputs = [run_config(tmp_path, capsys, cmd, {**sweep, key: value})
                    for value in ("1,10", " 1, 10,", [1, 10])]
-        outputs.append(run(capsys, [cmd, *flags, *flag]))
+        outputs += [run(capsys, [cmd, *flags, f"--{key}", *tokens])
+                    for tokens in (["1,10"], ["1", "10"], ["1,", "10"])]
         assert outputs[0][0] == 0
         assert all(o == outputs[0] for o in outputs), cmd
 
@@ -464,6 +481,70 @@ def test_whole_figures_match_the_reference_csvs(tmp_path, monkeypatch, capsys, f
     assert main(argv) == 0, argv
     capsys.readouterr()
     assert out.read_bytes() == (REFS / f"{fig}.csv").read_bytes()
+
+
+# (id, argv, stdout) of the small commands, in full: the gates above pin only the figure
+# sweeps, so a cell such as M written as 100.0 would pass them
+REFERENCE_ROWS = [
+    ("keyrate-pnr", "keyrate --mu 0.01 --nu-th 4 --eta 1e-3 --M 1000",
+     RATE_HEADER + "\n"
+     "0.001,1000,128,pnr,0.0,0.01,4,0.3607860710185729,0.030094101552621724,nan,"
+     "0.9999580230313745,0.0,0.0,0.0\n"),
+    ("keyrate-threshold",
+     "keyrate --mu 0.01 --nu-th 4 --eta 1e-3 --M 1000 --detector threshold --c-d 128000",
+     RATE_HEADER + "\n"
+     "0.001,1000,128,threshold,128000.0,0.01,4,0.3607860710185729,0.030094101552621724,nan,"
+     "0.9999580230313745,0.00046244971347228454,0.0,0.0\n"),
+    ("keyrate-no-bound", "keyrate --mu 0.001 --nu-th 0 --eta 1e-7",
+     RATE_HEADER + "\n"
+     "1e-07,1,128,pnr,0.0,0.001,0,1.3439999991808001e-07,0.4776190478918821,nan,"
+     "0.12014662085535613,0.0,0.0,0.0\n"),
+    ("mc-standard", "mc-validate --mu 0.005 --eta 0.05 --L 8 --trials 30000 --seed 9",
+     MC_HEADER + "\n"
+     "Q,0.000998009998667333,0.0011333333333333334,0.000194254891734965,0.696627680556076\n"
+     "e_bit,0.030003767497324696,0.0,0.0,-inf\n"),
+    ("mc-beamdump",
+     "mc-validate --mu 0.05 --eta 0.3 --L 8 --detector threshold --mode beamdump --trials 20000"
+     " --seed 4",
+     MC_HEADER + "\n"
+     "e_mB,0.006385833530191638,0.0056,0.0014961390309727236,-0.5252409795637264\n"),
+    ("mc-threshold-M100",
+     "mc-validate --mu 0.001 --eta 0.01 --L 128 --M 100 --detector threshold --trials 3000"
+     " --seed 5",
+     MC_HEADER + "\n"
+     "Q,0.060046149546824856,0.059,0.004301898805566366,-0.24318320679026958\n"
+     "e_bit,0.030094101552621724,0.01694915254237288,0.009702314585073516,-1.354826097936634\n"),
+    ("mc-no-dark", "mc-validate --mu 1e-9 --eta 1e-7 --L 8 --d-c 0 --trials 1000 --seed 5",
+     MC_HEADER + "\n"
+     "Q,3.999999999999997e-16,0.0,0.0,-inf\n"
+     "e_bit,0.03,nan,nan,nan\n"),
+    ("attack-default", "attack --trials 200000 --seed 11",
+     ATTACK_HEADER + "\n"
+     "0.99,100,10000,99,1,200000,0.0036972963764972675,0.003625,0.00013438488335746696,9802.36781,"
+     "0.0\n"),
+    ("attack-one-sequence",
+     "attack --M 1 --n-sequences 100 --n-measured 1 --n-clean 0 --trials 5000 --seed 2",
+     ATTACK_HEADER + "\n"
+     "0.99,1,100,1,0,5000,0.99,0.9914,0.0013058361306075162,0.9782,0.9782\n"),
+    ("optimize", "optimize --M-candidates 1 10 --eta-points 3 --L 16 --points-per-decade 4",
+     RATE_HEADER + "\n"
+     "0.0001,1,16,pnr,0.0,0.0015957770286452568,3,1.2926183633948304e-06,0.03581764905478371,"
+     "0.21073767106170765,1.7349638493070687e-08,0.0,2.7737574193090947e-09,"
+     "2.7737574193090947e-09\n"
+     "0.01,1,16,pnr,0.0,0.007671630463600435,3,0.0006129935691417185,0.03001226766540231,"
+     "0.21119167158400676,8.575528386177824e-06,0.0,2.3673893548784864e-06,"
+     "2.3673893548784864e-06\n"
+     "1.0,1,16,pnr,0.0,0.017759770753511366,2,0.10693500165399261,0.03000007032309238,"
+     "0.1584155103989262,0.0030948030530710507,0.0,0.0011702856169917314,0.0011702856169917314\n"),
+]
+
+
+@pytest.mark.parametrize("argv,want", [(argv, want) for _, argv, want in REFERENCE_ROWS],
+                         ids=[name for name, _, _ in REFERENCE_ROWS])
+def test_small_commands_match_their_reference_rows(capsys, argv, want):
+    """keyrate, mc-validate, attack and optimize print these rows byte for byte."""
+    _skip_unless_made_with_these_versions()
+    assert run(capsys, argv.split()) == (0, want, "")
 
 
 @pytest.mark.skipif(shutil.which("slowqkd") is None,

@@ -16,6 +16,7 @@ from slowqkd import (
     Detector,
     McConfig,
     McMode,
+    McStats,
     ProtocolParams,
     binomial_stderr,
     compare_to_analytic,
@@ -23,7 +24,9 @@ from slowqkd import (
     simulate,
 )
 from slowqkd._env import CHUNK_ELEMENTS, chunk_schedule, substream
-from slowqkd.montecarlo import _beamdump_events, _sift_beamdump, _sift_standard, _standard_events
+from slowqkd.montecarlo import (
+    _beamdump_events, _chunk, _sift_beamdump, _sift_standard, _standard_events,
+)
 
 from oracles import exact_Q_pnr, exact_ebit_pnr, replay_beamdump, replay_standard
 
@@ -46,7 +49,7 @@ BUSY_THR = ProtocolParams(
 def test_sift_standard_matches_replay(p):
     rng = substream(1234, (0,))
     ev = _standard_events(p, rng, 400)
-    _, accepted, errored = _sift_standard(p, ev)
+    accepted, errored, _ = _sift_standard(p, ev)
     for i in range(400):
         want = replay_standard(p, ev, i)
         assert (bool(accepted[i]), bool(errored[i])) == want, f"sequence {i}"
@@ -58,15 +61,14 @@ def test_sift_beamdump_matches_replay():
     )
     rng = substream(99, (0,))
     ev = _beamdump_events(p, rng, 400)
-    _, double = _sift_beamdump(p, ev)
+    double, _ = _sift_beamdump(p, ev)
     for i in range(400):
         assert bool(double[i]) == replay_beamdump(p, ev, i), f"sequence {i}"
 
 
 def test_multi_photon_counters_follow_ground_truth():
-    rng = substream(5, (0,))
-    ev = _standard_events(BUSY_PNR, rng, 300)
-    counts, _, _ = _sift_standard(BUSY_PNR, ev)
+    ev = _standard_events(BUSY_PNR, substream(5, (0,)), 300)
+    counts = McStats(*_chunk(BUSY_PNR, McMode.STANDARD, rng=substream(5, (0,)), count=300))
     per_block = ev["n_bob"].sum(axis=2)
     assert counts.multi_photon_blocks == int((per_block >= 2).sum())
     assert counts.multi_photon_sequences == int((per_block >= 2).any(axis=1).sum())
