@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import operator
 import os
 import sys
-from typing import Callable, Iterable
+from collections import deque
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -45,13 +48,34 @@ def parallel_map(fn: Callable, tasks: Iterable[tuple]) -> list:
     workers = pool_size(worker_count(), len(tasks), os.cpu_count())
     if workers == 1:
         return [fn(*task) for task in tasks]
+    with _pool(workers) as pool:
+        chunk = max(1, len(tasks) // (4 * workers))
+        return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
+
+
+def _streamed_map(fn: Callable, tasks: Iterator[tuple], count: int) -> Iterator:
+    """``fn(*task)`` for each of ``count`` tasks, in task order, like
+    ``parallel_map``, but drawing tasks one at a time and, in a pool, keeping
+    at most two per worker in flight, so memory does not grow with ``count``."""
+    workers = pool_size(worker_count(), count, os.cpu_count())
+    if workers == 1:
+        yield from itertools.starmap(fn, tasks)
+        return
+    with _pool(workers) as pool:
+        window = deque()
+        for task in tasks:
+            window.append(pool.submit(fn, *task))
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+
+
+def _pool(workers: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        chunk = max(1, len(tasks) // (4 * workers))
-        return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
 
 
 def check_run(trials: int, seed: int) -> None:
@@ -67,11 +91,17 @@ def substream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def chunk_schedule(trials: int, width: int, stream: tuple[int, ...] = ()) -> list[tuple]:
-    """``(key, count)`` per chunk: runs of at most max(1, CHUNK_ELEMENTS // width)
-    trials, chunk i keyed ``(*stream, i)``.  Independent of the worker count."""
-    size = max(1, CHUNK_ELEMENTS // width)
-    return [((*stream, i), min(size, trials - i * size)) for i in range(-(-trials // size))]
+def _chunk_trials(width: int) -> int:
+    return max(1, CHUNK_ELEMENTS // width)
+
+
+def chunk_schedule(trials: int, width: int, stream: tuple[int, ...] = ()) -> Iterator[tuple]:
+    """``(key, count)`` per chunk, generated lazily: runs of at most
+    max(1, CHUNK_ELEMENTS // width) trials, chunk i keyed ``(*stream, i)``.
+    Independent of the worker count."""
+    size = _chunk_trials(width)
+    for i, start in enumerate(range(0, trials, size)):
+        yield (*stream, i), min(size, trials - start)
 
 
 def _seeded_chunk(fn: Callable, args: tuple, seed: int, key: tuple[int, ...], count: int) -> tuple:
@@ -82,6 +112,11 @@ def seeded_chunks(fn: Callable, args: tuple, seed: int, trials: int, width: int,
                   stream: tuple[int, ...] = ()) -> tuple:
     """The one driver of every stochastic engine: column sums of the ints or
     Counters ``fn(*args, rng=substream(seed, key), count=count)`` returns over
-    ``chunk_schedule(trials, width, stream)``, run by ``parallel_map``."""
-    tasks = [(fn, args, seed, key, count) for key, count in chunk_schedule(trials, width, stream)]
-    return tuple(sum(column[1:], column[0]) for column in zip(*parallel_map(_seeded_chunk, tasks)))
+    ``chunk_schedule(trials, width, stream)``.  Results are folded in chunk
+    order as they arrive, so memory stays flat however many chunks run."""
+    tasks = ((fn, args, seed, key, count) for key, count in chunk_schedule(trials, width, stream))
+    results = _streamed_map(_seeded_chunk, tasks, -(-trials // _chunk_trials(width)))
+    totals = next(results)
+    for result in results:
+        totals = tuple(map(operator.add, totals, result))
+    return totals

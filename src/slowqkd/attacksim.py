@@ -23,22 +23,29 @@ at realistic transmission are single-detection sequences.
 
 ``run_attack`` draws each run from its basis counts: how many measured and
 how many clean sequences are Z sequences, then one binomial per kind of
-basis-matched pulse and one for the test-round errors.  That is exact for
-the reported totals, and a run costs the same however many sequences it
-has.  The tests cross-check it against a pulse-by-pulse replay
-(``run_attack_events`` in ``tests/oracles.py``).  Both engines here run
-in seeded chunks through ``_env.seeded_chunks``, as the Monte Carlo does,
-and add their totals as exact Python ints.
+basis-matched pulse and one for the test-round errors.  ``honest_baseline``
+draws the honest channel by detection class: per basis, one multinomial
+gives how many sequences had 0, 1, ..., M detections, then one binomial
+each gives the matched bits of single- and of multi-detection sequences.
+Both are exact for the reported totals.  A run of ``run_attack`` costs the
+same however many sequences it has, and a chunk of ``honest_baseline``
+costs O(M) whatever its sequence count.  The tests cross-check them against a
+pulse-by-pulse replay of the attack (``run_attack_events``) and a
+sequence-by-sequence draw of the honest channel
+(``honest_baseline_sequences``), both in ``tests/oracles.py``.  Both
+engines here run in seeded chunks through ``_env.seeded_chunks``, as the
+Monte Carlo does, and add their totals as exact Python ints.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._env import check_run, seeded_chunks
+from ._env import CHUNK_ELEMENTS, check_run, seeded_chunks
 
 __all__ = [
     "AttackScenario",
@@ -196,15 +203,34 @@ class HonestStats:
         return self.sifted_modified_total / self.trials
 
 
-def _honest_chunk(sc: AttackScenario, *, rng: np.random.Generator, count: int) -> tuple[int, int]:
+def _detection_pmf(M: int, eta: float) -> np.ndarray:
+    """Binomial(M, eta) pmf over d = 0..M, built in log space so no term overflows."""
+    if eta == 1.0:  # every pulse is detected; log1p(-1) * 0 would make d = M nan
+        return np.eye(1, M + 1, M)[0]
+    log_fact = np.fromiter(map(math.lgamma, range(1, M + 2)), float, M + 1)  # log d!, d = 0..M
+    log_choose = log_fact[M] - log_fact - log_fact[::-1]
+    d = np.arange(M + 1)
+    pmf = np.exp(log_choose + d * math.log(eta) + (M - d) * math.log1p(-eta))
+    return pmf / pmf.sum()  # else rounding in log d! at large M leaves stray mass to d = M
+
+
+def _honest_chunk(sc: AttackScenario, pmf: np.ndarray | None, *,
+                  rng: np.random.Generator, count: int) -> tuple[int, int]:
     """(naive, modified) sifted yield of ``count`` honest sequences."""
-    detections = rng.binomial(sc.M, sc.eta_nominal, count)
-    n_z = rng.binomial(count, sc.p_z)  # sequences are exchangeable: the first n_z are Z
+    n_z = rng.binomial(count, sc.p_z)  # sequences are exchangeable: split them by basis once
     naive = modified = 0
-    for d, q in ((detections[:n_z], sc.p_z), (detections[n_z:], 1.0 - sc.p_z)):
-        single = rng.binomial(np.count_nonzero(d == 1), q)
-        modified += single
-        naive += single + _total(rng.binomial(d[d > 1], q), sc.M)
+    for n_b, q in ((n_z, sc.p_z), (count - n_z, 1.0 - sc.p_z)):
+        if sc.M < count:  # M + 1 detection classes; every draw is below count * M <= 10^12
+            per_class = rng.multinomial(n_b, pmf)
+            single = per_class[1]
+            multi = rng.binomial(per_class[2:] @ np.arange(2, sc.M + 1), q)
+        else:  # more classes than sequences: draw each sequence's detections, each below 2^63
+            detections = rng.binomial(sc.M, sc.eta_nominal, n_b)
+            single = np.count_nonzero(detections == 1)
+            multi = _total(rng.binomial(detections[detections > 1], q), sc.M)
+        kept = int(rng.binomial(single, q))
+        modified += kept
+        naive += kept + int(multi)
     return naive, modified
 
 
@@ -215,13 +241,20 @@ def honest_baseline(sc: AttackScenario, trials: int, seed: int) -> HonestStats:
     basis-matched detections.  Modified sifting keeps only sequences with
     exactly one detection, which at small M * eta is nearly all of them —
     the honest penalty of the countermeasure is mild while it zeroes the
-    attack.  A chunk splits its sequences by basis with one binomial draw;
-    the single-detection sequences of a basis then keep a Binomial(their
-    count, match probability) total, and only sequences with two or more
-    detections draw their matches one by one.  Only totals are kept, so the
+    attack.  Only totals are reported, so only totals are drawn.  A chunk
+    splits its sequences by basis with one binomial.  Per basis, with match
+    probability q, one multinomial over the Binomial(M, eta) pmf gives the
+    number n_d of sequences with d detections; modified sifting keeps
+    Binomial(n_1, q) bits and naive sifting that plus Binomial(sum over
+    d >= 2 of d * n_d, q).  That is the exact joint law of the two totals,
+    at O(M) cost per chunk whatever its sequence count.  A chunk with no
+    more sequences than M (huge M) draws each sequence's detections
+    instead, so no array outgrows the chunk and no draw reaches 2^63.  The
     trials x n_sequences sequences run as one i.i.d. stream of width 1, and
     memory does not grow with n_sequences.
     """
     check_run(trials, seed)
-    totals = seeded_chunks(_honest_chunk, (sc,), seed, trials * sc.n_sequences, 1, stream=(1,))
+    sequences = trials * sc.n_sequences
+    pmf = _detection_pmf(sc.M, sc.eta_nominal) if sc.M < min(sequences, CHUNK_ELEMENTS) else None
+    totals = seeded_chunks(_honest_chunk, (sc, pmf), seed, sequences, 1, stream=(1,))
     return HonestStats(trials, *totals)

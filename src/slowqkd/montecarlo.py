@@ -98,7 +98,8 @@ class McStats:
         return binomial_stderr(self.detected, self.sequences)
 
     def bit_error_rate(self) -> float:
-        return self.bit_errors / self.detected
+        """Bit errors per detected sequence; nan without detections, like its stderr."""
+        return self.bit_errors / self.detected if self.detected else math.nan
 
     def bit_error_stderr(self) -> float:
         return binomial_stderr(self.bit_errors, self.detected)
@@ -312,10 +313,8 @@ def compare_to_analytic(cfg: McConfig) -> list[McComparison]:
     stats = simulate(cfg)
     model = key_rate(cfg.params)  # e_bit is nan where Q = 0: no sifted bits exist
     if cfg.mode is McMode.STANDARD:
-        # without detections the empirical e_bit is undefined; its stderr is nan then
-        eb_emp = stats.bit_error_rate() if stats.detected > 0 else math.nan
         rows = [("Q", model.Q, stats.detection_rate(), stats.detection_stderr()),
-                ("e_bit", model.e_bit, eb_emp, stats.bit_error_stderr())]
+                ("e_bit", model.e_bit, stats.bit_error_rate(), stats.bit_error_stderr())]
     else:
         rows = [("e_mB", model.e_mB, 8.0 * stats.double_count_rate(),
                  8.0 * stats.double_count_stderr())]

@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute force: arbitrary-precision tail
 sums, explicit geometric series, exhaustive grid searches, pure Python
-sequence-by-sequence replays of the Monte Carlo sifting rules, and a
-pulse-by-pulse replay of the intercept-resend attack.
+sequence-by-sequence replays of the Monte Carlo sifting rules, a
+pulse-by-pulse replay of the intercept-resend attack, and a
+sequence-by-sequence draw of the honest channel.
 The package must agree with these, not the other way around.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import mpmath as mp
 import numpy as np
 
-from slowqkd import AttackScenario, Detector, ProtocolParams, key_rate, mu_grid
+from slowqkd import AttackScenario, Detector, HonestStats, ProtocolParams, key_rate, mu_grid
 
 
 # ---------------------------------------------------------------------------
@@ -373,3 +374,30 @@ def run_attack_events(sc: AttackScenario, trials: int, seed: int) -> list[Attack
             )
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# sequence-by-sequence draw of the honest channel
+
+
+def honest_baseline_sequences(sc: AttackScenario, trials: int, seed: int,
+                              batch: int = 1_000_000) -> HonestStats:
+    """Honest-channel sifting drawn sequence by sequence; slow, for validation only.
+
+    Every sequence draws its basis, its Binomial(M, eta_nominal) detections
+    and how many of them Bob measures in the matching basis.  Naive sifting
+    keeps every matched detection, modified sifting only those of sequences
+    with exactly one detection.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, 1)))
+    naive = modified = 0
+    left = trials * sc.n_sequences
+    while left:
+        n = min(left, batch)
+        q = np.where(rng.random(n) < sc.p_z, sc.p_z, 1.0 - sc.p_z)
+        detections = rng.binomial(sc.M, sc.eta_nominal, n)
+        matched = rng.binomial(detections, q)
+        naive += int(matched.sum())
+        modified += int(matched[detections == 1].sum())
+        left -= n
+    return HonestStats(trials, naive, modified)

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -14,7 +15,7 @@ from slowqkd import (
     run_attack,
 )
 
-from oracles import run_attack_events
+from oracles import honest_baseline_sequences, run_attack_events
 
 # small enough for the pulse-level engine, same structure as the default
 SMALL = AttackScenario(
@@ -298,3 +299,102 @@ def test_honest_baseline_survives_modified_sifting():
     assert st.sifted_modified_total > 0
     loss = 1.0 - st.sifted_modified_mean / st.sifted_naive_mean
     assert loss < 0.02  # M*eta = 0.01: bunching is rare
+
+
+# ---------------------------------------------------------------------------
+# the detection-class engine against per-sequence draws and exact moments
+
+# (scenario, trials): one detection per sequence at most; a busy channel with
+# many multi-detection sequences; every pulse detected; symmetric bases; and
+# fewer sequences in the whole run than detection classes, so its one chunk
+# draws sequence by sequence
+HONEST_CASES = {
+    "M=1": (AttackScenario(p_z=0.9, M=1, n_sequences=10_000, n_measured=99, n_clean=1,
+                           eta_nominal=0.01), 100),
+    "busy": (AttackScenario(p_z=0.8, M=5, n_sequences=1000, n_measured=299, n_clean=1,
+                            eta_nominal=0.3), 1000),
+    "eta=1": (AttackScenario(p_z=0.7, M=3, n_sequences=100, n_measured=100, n_clean=0,
+                             eta_nominal=1.0), 2000),
+    "p_z=0.5": (AttackScenario(p_z=0.5, M=20, n_sequences=5000, n_measured=49, n_clean=1,
+                               eta_nominal=0.01), 200),
+    "per-sequence chunk": (AttackScenario(p_z=0.6, M=1000, n_sequences=100, n_measured=1,
+                                          n_clean=0, eta_nominal=0.01), 9),
+}
+
+
+def _honest_moments(sc: AttackScenario) -> dict[str, tuple[float, float]]:
+    """Exact per-sequence mean and variance of the naive bits, the modified
+    bits, and the naive bits of multi-detection sequences (their difference).
+    A sequence's matched detections are Binomial(M, eta * q), q = p_z or
+    1 - p_z as Alice picks Z or X; modified sifting keeps one bit with
+    probability s = M eta (1 - eta)^(M-1) E[q], and naive * modified =
+    modified, so their covariance is s (1 - E[naive])."""
+    p, M, eta = sc.p_z, sc.M, sc.eta_nominal
+    pi, kappa = p**2 + (1 - p) ** 2, p**3 + (1 - p) ** 3
+    naive = (M * eta * pi, M * eta * pi - M * eta**2 * kappa + M**2 * eta**2 * (kappa - pi**2))
+    s = M * eta * (1 - eta) ** (M - 1) * pi
+    modified = (s, s * (1 - s))
+    multi = (naive[0] - s, naive[1] + modified[1] - 2 * s * (1 - naive[0]))
+    return {"naive": naive, "modified": modified, "multi": multi}
+
+
+def _honest_totals(st) -> dict[str, int]:
+    return {"naive": st.sifted_naive_total, "modified": st.sifted_modified_total,
+            "multi": st.sifted_naive_total - st.sifted_modified_total}
+
+
+def _z(total: int, n: int, mean: float, var: float) -> float:
+    if var == 0.0:
+        return 0.0 if total == n * mean else math.inf
+    return (total - n * mean) / math.sqrt(n * var)
+
+
+@pytest.mark.parametrize("case", list(HONEST_CASES))
+def test_honest_baseline_matches_sequence_oracle_and_exact_moments(case):
+    sc, trials = HONEST_CASES[case]
+    n = trials * sc.n_sequences
+    assert (sc.M + 1 > n) == (case == "per-sequence chunk")  # one chunk of n sequences
+    fast = _honest_totals(honest_baseline(sc, trials, seed=41))
+    slow = _honest_totals(honest_baseline_sequences(sc, trials, seed=42))
+    for name, (mean, var) in _honest_moments(sc).items():
+        for engine in (fast, slow):
+            assert abs(_z(engine[name], n, mean, var)) <= 4.0, (name, engine, mean, var)
+        assert abs(fast[name] - slow[name]) <= 4.0 * math.sqrt(2 * n * var), (name, fast, slow)
+
+
+def test_honest_baseline_spread_matches_the_exact_variance():
+    # 40 seeds of one busy chunk: the z-scores against the exact moments
+    # must have mean about 0 and spread about 1 (4 sigma of 40 samples)
+    sc, _ = HONEST_CASES["busy"]
+    trials = 20
+    n = trials * sc.n_sequences
+    moments = _honest_moments(sc)
+    for name, (mean, var) in moments.items():
+        z = [_z(_honest_totals(honest_baseline(sc, trials, seed))[name], n, mean, var)
+             for seed in range(100, 140)]
+        avg = sum(z) / len(z)
+        sd = math.sqrt(sum((x - avg) ** 2 for x in z) / (len(z) - 1))
+        assert abs(avg) <= 4.0 / math.sqrt(len(z)), (name, avg)
+        assert 0.55 <= sd <= 1.45, (name, sd)
+
+
+def test_honest_baseline_draws_past_one_chunk_by_class():
+    # 10^6 + 500 sequences of M = 1000: a class chunk of 10^6, then a chunk
+    # of 500 sequences, fewer than its 1001 classes, drawn sequence by sequence
+    sc, _ = HONEST_CASES["per-sequence chunk"]
+    trials = 10_005
+    n = trials * sc.n_sequences
+    totals = _honest_totals(honest_baseline(sc, trials, seed=43))
+    for name, (mean, var) in _honest_moments(sc).items():
+        assert abs(_z(totals[name], n, mean, var)) <= 4.0, (name, totals)
+
+
+def test_honest_baseline_default_scenario_is_fast():
+    # 10^7 sequences in ten chunks of O(M) draws each: milliseconds, where
+    # a per-sequence draw took about half a second
+    best = math.inf
+    for seed in range(3):
+        start = time.perf_counter()
+        honest_baseline(DEFAULT_SCENARIO, 1000, seed)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05

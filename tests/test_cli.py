@@ -423,8 +423,8 @@ def test_reruns_are_byte_identical(tmp_path, capsys, argv):
 def test_output_identical_across_worker_counts(tmp_path, monkeypatch, capsys):
     # both run in several chunks: of 31,250 sequences (M*L = 4*8 elements
     # each), or of 200,000 attack runs (attacksim._RUN_ARRAYS elements each)
-    assert len(chunk_schedule(40_000, 4 * 8)) == 2
-    assert len(chunk_schedule(500_000, attacksim._RUN_ARRAYS)) == 3
+    assert len(list(chunk_schedule(40_000, 4 * 8))) == 2
+    assert len(list(chunk_schedule(500_000, attacksim._RUN_ARRAYS))) == 3
     for argv in (["mc-validate", "--mu", "0.01", "--eta", "0.05", "--M", "4", "--L", "8",
                   "--trials", "40000", "--seed", "6"],
                  ["attack", "--trials", "500000", "--seed", "6"]):

@@ -8,6 +8,8 @@ asserted separately with the O(lambda) gap made explicit.
 
 import math
 import sys
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from slowqkd import (
     detection_rate_Q,
     simulate,
 )
-from slowqkd._env import CHUNK_ELEMENTS, chunk_schedule, substream
+from slowqkd._env import CHUNK_ELEMENTS, chunk_schedule, seeded_chunks, substream
 from slowqkd.montecarlo import (
     _beamdump_events, _chunk, _sift_beamdump, _sift_standard, _standard_events,
 )
@@ -82,16 +84,48 @@ def test_chunk_schedule_partitions_trials():
     cases = [(10_000_001, 4 * 8, ()), (5, 2, ()), (7, 3 * CHUNK_ELEMENTS, (1,)),
              (2_500_000, 1, (1,)), (CHUNK_ELEMENTS, 7, (4, 2))]
     for trials, width, stream in cases:
-        schedule = chunk_schedule(trials, width, stream)
+        schedule = list(chunk_schedule(trials, width, stream))
         assert sum(count for _, count in schedule) == trials
         assert all(1 <= count * width <= max(CHUNK_ELEMENTS, width) for _, count in schedule)
         assert [key for key, _ in schedule] == [(*stream, i) for i in range(len(schedule))]
         assert {count for _, count in schedule[:-1]} <= {max(1, CHUNK_ELEMENTS // width)}
     # M=4, L=8: the chunk sizes and (i,) keys every mc-validate CSV is made with
-    schedule = chunk_schedule(10_000_001, 4 * 8)
+    schedule = list(chunk_schedule(10_000_001, 4 * 8))
     assert schedule[:2] == [((0,), 31_250), ((1,), 31_250)]
     assert schedule[-1] == ((320,), 1)
-    assert chunk_schedule(5, 1 * 2) == [((0,), 5)]
+    assert list(chunk_schedule(5, 1 * 2)) == [((0,), 5)]
+
+
+def _one_draw(*, rng, count):
+    """A trivial chunk: its count, one draw and a one-entry histogram."""
+    return count, int(rng.integers(2**32)), Counter({count: 1})
+
+
+def test_seeded_chunks_memory_stays_flat_in_the_chunk_count(monkeypatch):
+    # one-trial chunks (width CHUNK_ELEMENTS): a driver that holds the
+    # schedule, tasks or results of every chunk grows by hundreds of bytes
+    # per chunk, megabytes at 2*10^4
+    monkeypatch.delenv("QKD_THREADS", raising=False)
+    peaks = []
+    for chunks in (1_000, 20_000):
+        tracemalloc.start()
+        try:
+            count, _, hist = seeded_chunks(_one_draw, (), 3, chunks, CHUNK_ELEMENTS)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert count == chunks and hist == {1: chunks}
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
+
+
+def test_seeded_chunks_in_a_pool_match_one_worker(monkeypatch):
+    # 24 chunks, more than the pool's window of two per worker: the same
+    # per-chunk substreams and the same sums as one worker
+    monkeypatch.delenv("QKD_THREADS", raising=False)
+    serial = seeded_chunks(_one_draw, (), 5, 24, CHUNK_ELEMENTS, stream=(2,))
+    assert serial[1] == sum(int(substream(5, (2, i)).integers(2**32)) for i in range(24))
+    monkeypatch.setenv("QKD_THREADS", "2")
+    assert seeded_chunks(_one_draw, (), 5, 24, CHUNK_ELEMENTS, stream=(2,)) == serial
 
 
 def test_simulate_is_deterministic():
@@ -301,3 +335,15 @@ def test_stats_helper_formulas():
     )
     assert binomial_stderr(0, 100) == 0.0
     assert math.isnan(binomial_stderr(1, 0))
+
+
+def test_bit_error_rate_is_nan_without_detections():
+    # no sequence detected: the rate is undefined, like its standard error
+    cfg = McConfig(params=ProtocolParams(mu=1e-9, nu_th=0, eta=1e-7, L=8, d_c=0.0),
+                   trials=1000, seed=5)
+    stats = simulate(cfg)
+    assert stats.detected == 0
+    assert math.isnan(stats.bit_error_rate())
+    assert math.isnan(stats.bit_error_stderr())
+    e_bit = next(row for row in compare_to_analytic(cfg) if row.quantity == "e_bit")
+    assert math.isnan(e_bit.empirical)
