@@ -53,11 +53,14 @@ def parallel_map(fn: Callable, tasks: Iterable[tuple]) -> list:
         return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
 
 
-def _streamed_map(fn: Callable, tasks: Iterator[tuple], count: int) -> Iterator:
-    """``fn(*task)`` for each of ``count`` tasks, in task order, like
-    ``parallel_map``, but drawing tasks one at a time and, in a pool, keeping
-    at most two per worker in flight, so memory does not grow with ``count``."""
-    workers = pool_size(worker_count(), count, os.cpu_count())
+def _streamed_map(fn: Callable, tasks: Iterable[tuple]) -> Iterator:
+    """``fn(*task)`` for each task, in task order, like ``parallel_map``, but
+    drawing tasks one at a time and, in a pool, keeping at most two per
+    worker in flight, so memory does not grow with the number of tasks."""
+    tasks = iter(tasks)
+    head = list(itertools.islice(tasks, pool_size(worker_count(), sys.maxsize, os.cpu_count())))
+    workers = max(1, len(head))  # the request, capped by the CPU and task counts
+    tasks = itertools.chain(head, tasks)
     if workers == 1:
         yield from itertools.starmap(fn, tasks)
         return
@@ -91,15 +94,11 @@ def substream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _chunk_trials(width: int) -> int:
-    return max(1, CHUNK_ELEMENTS // width)
-
-
 def chunk_schedule(trials: int, width: int, stream: tuple[int, ...] = ()) -> Iterator[tuple]:
     """``(key, count)`` per chunk, generated lazily: runs of at most
     max(1, CHUNK_ELEMENTS // width) trials, chunk i keyed ``(*stream, i)``.
     Independent of the worker count."""
-    size = _chunk_trials(width)
+    size = max(1, CHUNK_ELEMENTS // width)
     for i, start in enumerate(range(0, trials, size)):
         yield (*stream, i), min(size, trials - start)
 
@@ -115,7 +114,7 @@ def seeded_chunks(fn: Callable, args: tuple, seed: int, trials: int, width: int,
     ``chunk_schedule(trials, width, stream)``.  Results are folded in chunk
     order as they arrive, so memory stays flat however many chunks run."""
     tasks = ((fn, args, seed, key, count) for key, count in chunk_schedule(trials, width, stream))
-    results = _streamed_map(_seeded_chunk, tasks, -(-trials // _chunk_trials(width)))
+    results = _streamed_map(_seeded_chunk, tasks)
     totals = next(results)
     for result in results:
         totals = tuple(map(operator.add, totals, result))

@@ -220,7 +220,7 @@ def _honest_chunk(sc: AttackScenario, pmf: np.ndarray | None, *,
     n_z = rng.binomial(count, sc.p_z)  # sequences are exchangeable: split them by basis once
     naive = modified = 0
     for n_b, q in ((n_z, sc.p_z), (count - n_z, 1.0 - sc.p_z)):
-        if sc.M < count:  # M + 1 detection classes; every draw is below count * M <= 10^12
+        if pmf is not None and sc.M < count:  # M < 10^6, so every draw is below count * M < 10^12
             per_class = rng.multinomial(n_b, pmf)
             single = per_class[1]
             multi = rng.binomial(per_class[2:] @ np.arange(2, sc.M + 1), q)

@@ -380,8 +380,7 @@ def run_attack_events(sc: AttackScenario, trials: int, seed: int) -> list[Attack
 # sequence-by-sequence draw of the honest channel
 
 
-def honest_baseline_sequences(sc: AttackScenario, trials: int, seed: int,
-                              batch: int = 1_000_000) -> HonestStats:
+def honest_baseline_sequences(sc: AttackScenario, trials: int, seed: int) -> HonestStats:
     """Honest-channel sifting drawn sequence by sequence; slow, for validation only.
 
     Every sequence draws its basis, its Binomial(M, eta_nominal) detections
@@ -393,7 +392,7 @@ def honest_baseline_sequences(sc: AttackScenario, trials: int, seed: int,
     naive = modified = 0
     left = trials * sc.n_sequences
     while left:
-        n = min(left, batch)
+        n = min(left, 1_000_000)
         q = np.where(rng.random(n) < sc.p_z, sc.p_z, 1.0 - sc.p_z)
         detections = rng.binomial(sc.M, sc.eta_nominal, n)
         matched = rng.binomial(detections, q)

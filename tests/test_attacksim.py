@@ -389,9 +389,11 @@ def test_honest_baseline_draws_past_one_chunk_by_class():
         assert abs(_z(totals[name], n, mean, var)) <= 4.0, (name, totals)
 
 
-def test_honest_baseline_default_scenario_is_fast():
+def test_honest_baseline_default_scenario_is_fast(monkeypatch):
     # 10^7 sequences in ten chunks of O(M) draws each: milliseconds, where
-    # a per-sequence draw took about half a second
+    # a per-sequence draw took about half a second (in process: a pool's
+    # spawned workers alone take longer)
+    monkeypatch.delenv("QKD_THREADS", raising=False)
     best = math.inf
     for seed in range(3):
         start = time.perf_counter()
