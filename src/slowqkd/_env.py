@@ -49,6 +49,7 @@ def parallel_map(fn: Callable, tasks: Iterable[tuple]) -> list:
     if workers == 1:
         return [fn(*task) for task in tasks]
     with _pool(workers) as pool:
+        # batched, not one task per message: a sweep point costs less than its message
         chunk = max(1, len(tasks) // (4 * workers))
         return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
 

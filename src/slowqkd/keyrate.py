@@ -10,8 +10,8 @@ than ``nu_th`` photons is treated as fully leaked, and the slow basis
 choice inflates that fraction to whole-sequence scope (``e_src_slow``).
 
 The model is written once (``_model``) over a namespace argument, in the
-style of the array API standard: ``math`` for one point (``key_rate`` and
-its views, the public helpers), numpy for the optimizer's grid (``rate_grid``).
+style of the array API standard: ``math`` for one point (``key_rate``, whose
+fields hold each quantity), numpy for the optimizer's grid (``rate_grid``).
 Only the branch points differ: the geometric sum at r = 1, e_src_slow at
 e_src = 1, the entropy endpoints, the e_ph >= 1/2 saturation, and gammainc.
 """
@@ -33,13 +33,9 @@ __all__ = [
     "ProtocolParams",
     "KeyRateResult",
     "binary_entropy",
-    "e_src",
     "e_src_slow",
     "detection_rate_Q",
     "bit_error_rate",
-    "e_mB",
-    "phase_error_pnr",
-    "phase_error_threshold",
     "key_rate",
 ]
 
@@ -175,24 +171,6 @@ def binary_entropy(x: float) -> float:
     return _SCALAR.entropy(x)
 
 
-def e_src(L: int, mu: float, nu_th: int) -> float:
-    """Fraction of L-pulse blocks carrying more than ``nu_th`` photons.
-
-    Block photon numbers are Poissonian with mean L*mu, so this is the
-    upper tail P(N > nu_th) = 1 - e^{-L mu} sum_{v<=nu_th} (L mu)^v / v!.
-    Evaluated through the regularized incomplete gamma function, which is
-    stable for large ``nu_th`` and in both tail regimes (no factorial
-    overflow, no cancellation).
-    """
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    if not mu >= 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    if nu_th < 0:
-        raise ValueError(f"nu_th must be >= 0, got {nu_th}")
-    return float(gammainc(nu_th + 1, L * mu))
-
-
 def _e_src_slow(xp, e, M: int):
     return e if M == 1 else -xp.expm1(M * xp.log1p(-e))  # exactly 1 at e = 1
 
@@ -240,6 +218,14 @@ def _model(xp, p: ProtocolParams, mu, nu_th):
     ``bound`` says whether a phase-error bound exists; (e_ph, G_raw).  Over
     ``_SCALAR``, take a stage only if the earlier ones leave a key (Q > 0,
     then bound).  Per-point values branch only inside ``xp``.
+
+    The block tagged fraction P(N > nu_th) = 1 - e^{-L mu} sum_{v<=nu_th}
+    (L mu)^v / v! is the regularized incomplete gamma gammainc(nu_th+1, L mu),
+    stable for large nu_th and in both tails (no factorial overflow, no
+    cancellation).  e_mB is 8 times the double-count candidates, summed over
+    blocks like Q (0 for PNR).  The phase bound uses x = e_src_slow/(Q - e_mB);
+    none exists when Q - e_mB <= 0 or x > 1: ``key_rate``'s "no_valid_bound"
+    when Q > 0 (Q <= 0 is "no_detection").
     """
     L, M, d_c = p.L, p.M, p.d_c
     lam = L * p.eta * mu
@@ -309,43 +295,6 @@ def bit_error_rate(p: ProtocolParams) -> float:
     if next(stages)[0] <= 0.0:
         raise ValueError("bit error rate undefined: detection rate is zero")
     return next(stages)[0]
-
-
-def e_mB(p: ProtocolParams) -> float:
-    """Bound on the sifted multi-detection fraction for threshold detectors.
-
-    Eight times the per-block rate of double-count candidates (two-photon
-    arrivals, photon+dark and dark+dark coincidences over the 2L slots),
-    summed over blocks like Q.  PNR detectors resolve photon number, so
-    the bound is identically 0.
-    """
-    return next(_model(_SCALAR, p, p.mu, p.nu_th))[2]
-
-
-def phase_error_pnr(e_src_slow_val: float, Q: float, nu_th: int, L: int) -> float | None:
-    """Phase-error bound with photon-number-resolving detectors.
-
-    Tagged sequences (fraction e_src_slow of the detections) leak fully;
-    untagged ones leak at most nu_th/(L-1).  Returns None when
-    e_src_slow exceeds Q and no valid bound exists.
-    """
-    if Q <= 0.0:
-        return None
-    x = e_src_slow_val / Q
-    if x > 1.0:
-        return None
-    return _phase_bound(x, nu_th, L)
-
-
-def phase_error_threshold(
-    e_src_slow_val: float, Q: float, e_mB_val: float, nu_th: int, L: int
-) -> float | None:
-    """Phase-error bound with threshold detectors.
-
-    Double-count candidates are discarded from the usable detections, so
-    this is the PNR bound evaluated against Q - e_mB.
-    """
-    return phase_error_pnr(e_src_slow_val, Q - e_mB_val, nu_th, L)
 
 
 def key_rate(p: ProtocolParams) -> KeyRateResult:

@@ -42,7 +42,6 @@ from slowqkd import (
     analytic_success,
     binary_entropy,
     compare_to_analytic,
-    e_src,
     e_src_slow,
     key_rate,
     run_attack,
@@ -120,7 +119,13 @@ def test_01_threshold_with_zero_emb_reduces_to_pnr(monkeypatch) -> None:
 
 
 def test_02_source_tails_match_arbitrary_precision() -> None:
-    """e_src / e_src_slow vs mpmath, 1e-9 relative, including e_src*M << 1."""
+    """e_src / e_src_slow vs mpmath, 1e-9 relative, including e_src*M << 1.
+
+    The block tail is key_rate's e_src_slow at M = 1.
+    """
+    def e_src(L, mu, nu_th):
+        return key_rate(ProtocolParams(mu=mu, nu_th=nu_th, eta=1.0, M=1, L=L)).e_src_slow
+
     rng = np.random.default_rng(11)
     for _ in range(40):
         L = int(rng.integers(2, 257))
@@ -130,7 +135,7 @@ def test_02_source_tails_match_arbitrary_precision() -> None:
         assert _rel_close(e_src(L, mu, nu_th), want, 1e-9)
 
     # deep upper tails, where naive 1 - CDF would lose every digit
-    for L, mu, nu_th in [(128, 1.0, 200), (128, 0.0078125, 50), (32, 1e-4, 12)]:
+    for L, mu, nu_th in [(256, 0.5, 200), (128, 0.0078125, 50), (32, 1e-4, 12)]:
         want = poisson_upper_tail(L * mu, nu_th)
         assert want < 1e-8
         assert _rel_close(e_src(L, mu, nu_th), want, 1e-9)

@@ -42,9 +42,8 @@ def test_rate_header_is_stable():
 
 def test_package_exports_each_module_all():
     assert sorted(slowqkd.__all__) == sorted([
-        "Detector", "ProtocolParams", "KeyRateResult", "binary_entropy", "e_src",
-        "e_src_slow", "detection_rate_Q", "bit_error_rate", "e_mB", "phase_error_pnr",
-        "phase_error_threshold", "key_rate",
+        "Detector", "ProtocolParams", "KeyRateResult", "binary_entropy",
+        "e_src_slow", "detection_rate_Q", "bit_error_rate", "key_rate",
         "Optimum", "CurveSpec", "M_CANDIDATES_DEFAULT", "mu_grid", "optimize_point",
         "optimize_with_M", "heuristic_M", "sweep_curves",
         "McMode", "McConfig", "McStats", "McComparison", "binomial_stderr", "simulate",

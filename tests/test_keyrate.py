@@ -15,12 +15,8 @@ from slowqkd import (
     binary_entropy,
     bit_error_rate,
     detection_rate_Q,
-    e_mB,
-    e_src,
     e_src_slow,
     key_rate,
-    phase_error_pnr,
-    phase_error_threshold,
 )
 from slowqkd import keyrate
 from slowqkd.keyrate import _SCALAR, _geom_sum, rate_grid
@@ -90,8 +86,13 @@ def test_binary_entropy_symmetric(x):
 # source tagging probabilities
 
 
+def _e_src(L, mu, nu_th):
+    """The block tagged fraction, read where it lives: e_src_slow at M = 1."""
+    return key_rate(ProtocolParams(mu=mu, nu_th=nu_th, eta=1.0, M=1, L=L)).e_src_slow
+
+
 def test_e_src_spec_point():
-    assert e_src(128, 0.01, 3) == pytest.approx(0.041125718315457915, rel=1e-12)
+    assert _e_src(128, 0.01, 3) == pytest.approx(0.041125718315457915, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -100,7 +101,7 @@ def test_e_src_spec_point():
         (128, 0.01, 0),
         (128, 0.01, 3),
         (128, 0.0078125, 10),
-        (128, 1.0, 200),  # deep upper tail, lam = 128
+        (256, 0.5, 200),  # deep upper tail, lam = 128
         (128, 0.0078125, 50),  # lam = 1, tail ~ 1e-67
         (2, 0.5, 1),
         (64, 1e-6, 0),
@@ -109,7 +110,7 @@ def test_e_src_spec_point():
 )
 def test_e_src_matches_tail_oracle(L, mu, nu_th):
     want = poisson_upper_tail(L * mu, nu_th)
-    got = e_src(L, mu, nu_th)
+    got = _e_src(L, mu, nu_th)
     if want == 0.0:
         assert got == 0.0
     else:
@@ -117,7 +118,7 @@ def test_e_src_matches_tail_oracle(L, mu, nu_th):
 
 
 def test_e_src_zero_intensity():
-    assert e_src(128, 0.0, 0) == 0.0
+    assert _e_src(128, 0.0, 0) == 0.0
 
 
 def test_e_src_slow_single_block_is_identity():
@@ -200,7 +201,6 @@ def test_bit_error_rate_requires_detections():
 
 def test_e_mB_is_zero_for_pnr():
     p = ProtocolParams(mu=0.1, nu_th=0, eta=0.5, M=10, L=16, d_c=1e-4)
-    assert e_mB(p) == 0.0
     assert key_rate(p).e_mB == 0.0
 
 
@@ -209,37 +209,27 @@ def test_e_mB_matches_summation_oracle():
         mu=0.01, nu_th=0, eta=1e-3, M=1000, L=128, d_c=1e-9,
         detector=Detector.THRESHOLD,
     )
-    for got in (e_mB(p), key_rate(p).e_mB):
-        assert got == pytest.approx(0.0004624497134722845, rel=1e-12)
-        assert got == pytest.approx(e_mB_oracle(p), rel=1e-12)
+    got = key_rate(p).e_mB
+    assert got == pytest.approx(0.0004624497134722845, rel=1e-12)
+    assert got == pytest.approx(e_mB_oracle(p), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # phase error bounds
 
 
-def test_phase_error_pnr_spec_point():
-    assert phase_error_pnr(0.001, 0.01, 4, 128) == pytest.approx(
-        0.1 + 0.9 * 4 / 127, rel=1e-12
-    )
-
-
-def test_phase_error_pnr_no_detections_has_no_bound():
-    assert phase_error_pnr(0.001, 0.0, 4, 128) is None
-    assert phase_error_pnr(0.001, -1e-30, 4, 128) is None
-
-
-def test_phase_error_pnr_tagged_exceeding_detected_has_no_bound():
-    assert phase_error_pnr(0.02, 0.01, 4, 128) is None
-
-
-def test_phase_error_threshold_reduces_to_pnr_on_shifted_Q():
-    got = phase_error_threshold(0.001, 0.011, 0.001, 4, 128)
-    assert got == phase_error_pnr(0.001, 0.01, 4, 128)
-
-
-def test_phase_error_all_tagged_is_one():
-    assert phase_error_pnr(0.01, 0.01, 4, 128) == pytest.approx(1.0)
+@settings(max_examples=300, deadline=None)
+@given(protocol_params())
+def test_phase_error_bound_follows_the_fields(p):
+    """Tagged detections leak fully, the rest at most nu_th/(L-1), over the
+    usable detections Q - e_mB; no bound exists when there are none or the
+    tagged share x exceeds 1."""
+    res = key_rate(p)
+    usable = res.Q - res.e_mB
+    x = res.e_src_slow / usable if usable > 0.0 else math.nan
+    assert (res.reason == "no_valid_bound") == (res.Q > 0.0 and (usable <= 0.0 or x > 1.0))
+    if res.reason is None:
+        assert res.e_ph == pytest.approx(x + (1.0 - x) * p.nu_th / (p.L - 1), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
