@@ -218,6 +218,50 @@ def test_e_mB_matches_summation_oracle():
 # phase error bounds
 
 
+def _bounded_point(detector):
+    """nu_th = 4, L = 128 with a bound: x ~ 6e-6, and e_mB ~ Q/4 for threshold."""
+    return ProtocolParams(mu=0.001, nu_th=4, eta=0.5, M=1, L=128, d_c=1e-4, detector=detector)
+
+
+def test_phase_error_pnr_spec_point():
+    assert keyrate._phase_bound(0.001 / 0.01, 4, 128) == pytest.approx(
+        0.1 + 0.9 * 4 / 127, rel=1e-12
+    )
+    res = key_rate(_bounded_point(Detector.PNR))
+    assert res.reason is None and res.e_mB == 0.0
+    x = res.e_src_slow / res.Q
+    assert res.e_ph == pytest.approx(x + (1.0 - x) * 4 / 127, rel=1e-12)
+
+
+def test_phase_error_pnr_no_detections_has_no_bound():
+    for detector in Detector:
+        for mu, eta in ((0.0, 0.5), (0.01, 0.0)):
+            p = ProtocolParams(mu=mu, nu_th=4, eta=eta, L=128, d_c=0.0, detector=detector)
+            res = key_rate(p)
+            assert res.Q == 0.0 and res.reason == "no_detection"
+            assert math.isnan(res.e_ph) and res.G == 0.0
+
+
+def test_phase_error_pnr_tagged_exceeding_detected_has_no_bound():
+    res = key_rate(ProtocolParams(mu=0.1, nu_th=0, eta=1e-3, M=10, L=128))
+    assert res.Q > 0.0 and res.e_src_slow > res.Q
+    assert res.reason == "no_valid_bound"
+    assert math.isnan(res.e_ph) and res.G == 0.0
+
+
+def test_phase_error_threshold_reduces_to_pnr_on_shifted_Q():
+    pnr = key_rate(_bounded_point(Detector.PNR))
+    thr = key_rate(_bounded_point(Detector.THRESHOLD))
+    assert (thr.Q, thr.e_src_slow) == (pnr.Q, pnr.e_src_slow)
+    assert thr.reason is None and thr.e_mB > 0.0
+    assert thr.e_ph == keyrate._phase_bound(thr.e_src_slow / (thr.Q - thr.e_mB), 4, 128)
+    assert thr.e_ph > pnr.e_ph == keyrate._phase_bound(pnr.e_src_slow / pnr.Q, 4, 128)
+
+
+def test_phase_error_all_tagged_is_one():
+    assert keyrate._phase_bound(0.01 / 0.01, 4, 128) == pytest.approx(1.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(protocol_params())
 def test_phase_error_bound_follows_the_fields(p):
