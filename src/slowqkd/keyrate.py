@@ -318,6 +318,20 @@ def key_rate(p: ProtocolParams) -> KeyRateResult:
     return KeyRateResult(g_raw, max(0.0, g_raw), Q, ebit, eph, esl, emb)
 
 
+def _clamped_rate(p: ProtocolParams, mu: float, nu_th: int) -> float:
+    """``key_rate(replace(p, mu=mu, nu_th=nu_th)).G``, bit for bit, from the stages.
+
+    ``_model`` reads mu and nu_th only from its arguments, and the branches
+    are ``key_rate``'s in its order, so the float operations are the same;
+    what is skipped is re-validating ``p`` and building a ``KeyRateResult``.
+    ``mu`` and ``nu_th`` must lie in the domain ``ProtocolParams`` accepts.
+    """
+    stages = _model(_SCALAR, p, mu, nu_th)
+    if next(stages)[0] <= 0.0 or not next(stages)[1]:  # Q <= 0, or no bound
+        return 0.0
+    return max(0.0, next(stages)[1])
+
+
 def rate_grid(p: ProtocolParams, mu: Sequence[float], nu_th: Sequence[int]) -> np.ndarray:
     """Clamped key rate G over a (nu_th, mu) grid at the rest of ``p``.
 

@@ -7,9 +7,10 @@ h(x*) = 1 - h(e_sys): from there on the untagged phase-error bound
 nu_th/(L-1) alone costs every bit a sifted bit can carry, so the rows left
 out hold G = 0 exactly (``keyrate._keyed_rows`` derives this).  The
 ``nu_th`` holding the grid maximum and its two neighbours are then refined
-by golden-section search in log(mu) through the scalar ``key_rate``.  ``M``
-is picked from an explicit candidate list.  No randomness is involved
-anywhere, so repeated runs are bit-identical.
+by golden-section search in log(mu) through the model's stages, from the
+first grid pass (``keyrate._clamped_rate``).  ``M`` is picked from an
+explicit candidate list.  No randomness is involved anywhere, so repeated
+runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from functools import partial
 import numpy as np
 
 from ._env import parallel_map
-from .keyrate import KeyRateResult, ProtocolParams, _keyed_rows, key_rate, rate_grid
+from .keyrate import (
+    KeyRateResult,
+    ProtocolParams,
+    _clamped_rate,
+    _keyed_rows,
+    key_rate,
+    rate_grid,
+)
 
 __all__ = [
     "M_CANDIDATES_DEFAULT",
@@ -87,20 +95,19 @@ def mu_grid(points_per_decade: int = POINTS_PER_DECADE) -> list[float]:
 
 
 def _best_mu(
-    base: ProtocolParams, nu_th: int, grid: list[float], row: np.ndarray
+    base: ProtocolParams, nu_th: int, grid: list[float], best_i: int, best_g: float
 ) -> tuple[float, float]:
     """Maximize clamped G over mu at one nu_th: golden-section in log(mu).
 
-    ``row`` holds G on ``grid``; the search brackets its first maximum by
-    the two neighbouring grid points.  Returns (G, mu); ties keep the
-    smaller mu.
+    ``best_i`` is the index of the row's first maximum on ``grid`` and
+    ``best_g`` its value; the search brackets it by the two neighbouring
+    grid points.  Returns (G, mu); ties keep the smaller mu.
     """
 
     def g(logmu: float) -> float:
-        return key_rate(replace(base, mu=10.0**logmu, nu_th=nu_th)).G
+        return _clamped_rate(base, 10.0**logmu, nu_th)
 
-    best_i = int(np.argmax(row))
-    best_g, best_mu = float(row[best_i]), grid[best_i]
+    best_mu = grid[best_i]
     a = math.log10(grid[max(best_i - 1, 0)])
     b = math.log10(grid[min(best_i + 1, len(grid) - 1)])
     c = b - _GOLDEN * (b - a)
@@ -144,16 +151,18 @@ def optimize_point(
     grid = mu_grid(points_per_decade)
     chunk = max(1, _GRID_CELLS // len(grid))
     keyed = _keyed_rows(base)
-    best_g, best_nu, best_mu = 0.0, 0, grid[0]
+    peak_i: list[int] = []  # per keyed row: the index of its first maximum on the grid
+    peak_g: list[float] = []  # and that maximum
     for lo in range(0, keyed, chunk):
-        row_max = rate_grid(base, grid, range(lo, min(lo + chunk, keyed))).max(axis=1)
-        i = int(np.argmax(row_max))
-        if row_max[i] > best_g:
-            best_g, best_nu = float(row_max[i]), lo + i
-    if best_g > 0.0:
+        rows = rate_grid(base, grid, range(lo, min(lo + chunk, keyed)))
+        peak_i += rows.argmax(axis=1).tolist()
+        peak_g += rows.max(axis=1).tolist()
+    best_nu, best_mu = int(np.argmax(peak_g)), grid[0]  # first maximum: smaller nu_th
+    if peak_g[best_nu] > 0.0:
         nus = range(max(best_nu - 1, 0), min(best_nu + 2, base.L))
-        rows = rate_grid(base, grid, nus)
-        refined = [(*_best_mu(base, nu, grid, row), nu) for nu, row in zip(nus, rows)]
+        # a row at or past ``keyed`` holds G = 0 at every mu
+        peaks = [(peak_i[nu], peak_g[nu]) if nu < keyed else (0, 0.0) for nu in nus]
+        refined = [(*_best_mu(base, nu, grid, *peak), nu) for nu, peak in zip(nus, peaks)]
         _, best_mu, best_nu = max(refined, key=lambda t: t[0])  # first maximum: smaller nu_th
     final = key_rate(replace(base, mu=best_mu, nu_th=best_nu))
     return Optimum(eta=eta, M=M, mu_opt=best_mu, nu_th_opt=best_nu, result=final)

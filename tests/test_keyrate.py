@@ -32,7 +32,7 @@ from oracles import (
 
 
 @st.composite
-def protocol_params(draw, detector=None, c_d=None):
+def _any_params(draw, detector, c_d):
     L = draw(st.integers(2, 256))
     return ProtocolParams(
         mu=draw(st.floats(1e-9, 2.0)),
@@ -45,6 +45,29 @@ def protocol_params(draw, detector=None, c_d=None):
         c_d=draw(st.sampled_from([0.0, 1.0, 128.0, 1.28e5])) if c_d is None else c_d,
         detector=detector or draw(st.sampled_from(list(Detector))),
     )
+
+
+def _log_uniform(lo, hi, steps=1000):
+    """lo..hi on a log scale, in equal steps (hypothesis' floats crowd the ends)."""
+    a, b = math.log10(lo), math.log10(hi)
+    return st.sampled_from(range(steps + 1)).map(lambda i: 10.0 ** (a + (b - a) * i / steps))
+
+
+@st.composite
+def _keyed_params(draw, detector, c_d):
+    """Points that can carry key: mu over the optimizer's box, eta from 1e-4,
+    e_sys <= 0.1, and nu_th below keyrate._keyed_rows."""
+    p = replace(
+        draw(_any_params(detector, c_d)),
+        mu=draw(_log_uniform(MU_MIN, MU_MAX)),
+        eta=draw(_log_uniform(1e-4, 1.0)),
+        e_sys=draw(st.floats(0.0, 0.1)),
+    )
+    return replace(p, nu_th=draw(st.sampled_from(range(keyrate._keyed_rows(p)))))
+
+
+def protocol_params(detector=None, c_d=None):
+    return st.one_of(_any_params(detector, c_d), _keyed_params(detector, c_d))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +342,18 @@ def test_key_rate_dead_time_only_rescales():
     p1 = replace(p0, c_d=128.0)
     r0, r1 = key_rate(p0), key_rate(p1)
     assert r1.G == pytest.approx(r0.G * (1 * 128) / (1 * 128 + 128.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("detector", list(Detector))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_clamped_rate_is_key_rate_G_bit_for_bit(detector, data):
+    """The optimizer's refinement reads G from the stages; it must be the
+    G of ``key_rate`` at the same point exactly, whatever mu and nu_th the
+    base carries."""
+    p = data.draw(protocol_params(detector=detector))
+    base = replace(p, mu=MU_MAX, nu_th=p.L - 1)
+    assert keyrate._clamped_rate(base, p.mu, p.nu_th) == key_rate(p).G
 
 
 @settings(max_examples=300, deadline=None)

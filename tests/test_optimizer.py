@@ -116,6 +116,76 @@ def test_memory_bounding_chunks_give_the_same_optimum(monkeypatch):
     assert optimize_point(BASE, eta=1e-3, M=1000) == whole
 
 
+_THRESHOLD_DEAD = replace(BASE, detector=Detector.THRESHOLD, c_d=1.28e5)
+# The optimizer's canonical points in perfbench/canonical.py: (base, eta, M
+# candidates), the first at zero rate, the rest positive.
+_CANONICAL = [
+    (BASE, 1e-7, (1,)),
+    (BASE, 1e-3, (1000,)),
+    (BASE, 1.0, (1,)),
+    (BASE, 1e-2, (10**6,)),
+    (_THRESHOLD_DEAD, 1e-2, M_CANDIDATES_DEFAULT),
+]
+
+
+@pytest.mark.parametrize("base,eta,Ms", _CANONICAL)
+def test_one_grid_pass_and_refinement_through_the_stages(monkeypatch, base, eta, Ms):
+    """Each point grids its keyed rows once, in chunks, and refines three
+    rows by golden section through ``_clamped_rate`` (2 + 32 evaluations
+    each, 102 in all); ``key_rate`` is called once, for the result."""
+    calls = {"rows": [], "refine": 0, "key_rate": 0}
+
+    def grid(p, mu, nu_th):
+        calls["rows"].append(list(nu_th))
+        return rate_grid(p, mu, nu_th)
+
+    def refine(*args):
+        calls["refine"] += 1
+        return keyrate._clamped_rate(*args)
+
+    def final(p):
+        calls["key_rate"] += 1
+        return key_rate(p)
+
+    monkeypatch.setattr(optimizer, "rate_grid", grid)
+    monkeypatch.setattr(optimizer, "_clamped_rate", refine)
+    monkeypatch.setattr(optimizer, "key_rate", final)
+    keyed = keyrate._keyed_rows(base)
+    chunk = max(1, optimizer._GRID_CELLS // len(mu_grid()))
+    for M in Ms:
+        calls.update(rows=[], refine=0, key_rate=0)
+        positive = optimize_point(base, eta, M).result.G > 0.0
+        assert positive == (eta != 1e-7)
+        assert calls["refine"] == (102 if positive else 0)
+        assert len(calls["rows"]) == math.ceil(keyed / chunk)
+        assert sum(calls["rows"], []) == list(range(keyed))
+        assert calls["key_rate"] == 1
+
+
+@pytest.mark.parametrize(
+    "base,eta,M",
+    [
+        (BASE, 1e-3, 1000),
+        (BASE, 1.0, 1),
+        (_THRESHOLD_DEAD, 1e-2, 100),
+        (replace(BASE, L=4096), 1e-2, 1),
+        (replace(BASE, L=16, e_sys=0.0, d_c=0.0), 0.3, 10),
+    ],
+)
+def test_grid_rows_do_not_depend_on_the_rows_beside_them(base, eta, M):
+    """The refinement reuses the first grid pass's rows, so a row of the
+    keyed grid must equal, bit for bit, the same row gridded on its own or
+    with its neighbours."""
+    base = replace(base, eta=eta, M=M)
+    grid = mu_grid()
+    keyed = keyrate._keyed_rows(base)
+    whole = rate_grid(base, grid, range(keyed))
+    for lo in {max(i, 0) for i in (0, 1, keyed // 2, keyed - 3, keyed - 2)}:
+        nus = range(lo, min(lo + 3, keyed))
+        assert whole[list(nus)].tobytes() == rate_grid(base, grid, nus).tobytes(), nus
+        assert whole[lo].tobytes() == rate_grid(base, grid, [lo]).tobytes(), lo
+
+
 def _fields(o: Optimum) -> list:
     """Every field of an Optimum and of its result, flat, with NaN made comparable."""
     flat = [*astuple(o)[:-1], *astuple(o.result)]
