@@ -30,8 +30,8 @@ Run from the repository root:
 
     PYTHONPATH=src python scripts/diagnose_acceptance.py
 
-The two sweeps take about half a minute single-threaded; QKD_THREADS
-spreads them over a process pool.
+The two sweeps take under 2 s on one worker (2 shared vCPUs), too short for
+a process pool to pay, so QKD_THREADS leaves them in process.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ Writes five CSVs into --outdir (default: results/):
     fig3_fixed_m.csv   dead time c_d = 1.28e5, M fixed at heuristic_M = 1000
     fig3_ideal.csv     no dead time, M = 1000 (upper reference curve)
 
-Plot G against eta on log-log axes to view the curves.  The full run is a
-few minutes of CPU; set QKD_THREADS to parallelize, or pass --quick for a
-coarse grid while iterating.
+Plot G against eta on log-log axes to view the curves.  The full run takes
+about 3-4 s on one worker (2 shared vCPUs); pass --quick for a coarse grid
+while iterating.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import itertools
 import operator
 import os
 import sys
+import time
 from collections import deque
 from typing import Callable, Iterable, Iterator
 
@@ -15,64 +16,58 @@ import numpy as np
 # substream layout (not the distribution), so results are fixed per version.
 CHUNK_ELEMENTS = 1_000_000
 
+# ``fan_out`` pools only to save more than a spawned worker's start-up with
+# numpy and scipy (0.5-1.2 s on 2 vCPUs), in batches of about BATCH_S s of work.
+WORKER_START_S = 0.8
+BATCH_S = 0.05
+
 
 def worker_count() -> int:
     """Worker cap from the QKD_THREADS environment variable (default 1)."""
-    raw = os.environ.get("QKD_THREADS")
-    if raw is None:
-        return 1
+    raw = os.environ.get("QKD_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
-        raise ValueError(f"QKD_THREADS must be a positive integer, got {raw!r}") from None
+        n = 0
     if n < 1:
         raise ValueError(f"QKD_THREADS must be a positive integer, got {raw!r}")
     return n
 
 
-def pool_size(requested: int, tasks: int, cpus: int | None) -> int:
-    """Processes worth starting: the request capped by the task and CPU counts."""
-    return max(1, min(requested, tasks, cpus or 1))
+def fan_out(fn: Callable, tasks: Iterable[tuple], count: int) -> Iterator:
+    """``fn(*task)`` for each of the ``count`` tasks, yielded in task order.
 
-
-def parallel_map(fn: Callable, tasks: Iterable[tuple]) -> list:
-    """``[fn(*task) for task in tasks]``, over a process pool when QKD_THREADS > 1.
-
-    The pool has min(QKD_THREADS, number of tasks, CPU count) workers; at
-    one worker everything runs in this process and no pool is started.
-    Results keep task order, so they do not depend on the worker count.
-    Workers are spawned, not forked (the caller may hold BLAS threads), so
-    ``fn`` must be importable by name and sees no state patched at run time.
+    At one worker, min(QKD_THREADS, CPU count, count - 1), a plain starmap.
+    Otherwise the first task runs here, timed, and a pool starts only if
+    (count - 1) * cost * (1 - 1/workers) exceeds WORKER_START_S.  It takes
+    batches of about BATCH_S, two per worker in flight; results do not depend
+    on where a task ran.  Workers are spawned (the caller may hold BLAS
+    threads), so ``fn`` must be importable and sees no run-time patches.
     """
-    tasks = list(tasks)
-    workers = pool_size(worker_count(), len(tasks), os.cpu_count())
-    if workers == 1:
-        return [fn(*task) for task in tasks]
-    with _pool(workers) as pool:
-        # batched, not one task per message: a sweep point costs less than its message
-        chunk = max(1, len(tasks) // (4 * workers))
-        return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
-
-
-def _streamed_map(fn: Callable, tasks: Iterable[tuple]) -> Iterator:
-    """``fn(*task)`` for each task, in task order, like ``parallel_map``, but
-    drawing tasks one at a time and, in a pool, keeping at most two per
-    worker in flight, so memory does not grow with the number of tasks."""
     tasks = iter(tasks)
-    head = list(itertools.islice(tasks, pool_size(worker_count(), sys.maxsize, os.cpu_count())))
-    workers = max(1, len(head))  # the request, capped by the CPU and task counts
-    tasks = itertools.chain(head, tasks)
-    if workers == 1:
+    workers = max(1, min(worker_count(), os.cpu_count() or 1, count - 1))
+    cost = 0.0
+    if workers > 1:
+        start = time.perf_counter()
+        first = fn(*next(tasks))
+        cost = time.perf_counter() - start
+        yield first
+    if (count - 1) * cost * (1 - 1 / workers) <= WORKER_START_S:
         yield from itertools.starmap(fn, tasks)
         return
+    size = max(1, int(BATCH_S / cost))
     with _pool(workers) as pool:
         window = deque()
-        for task in tasks:
-            window.append(pool.submit(fn, *task))
+        for batch in iter(lambda: list(itertools.islice(tasks, size)), []):
+            window.append(pool.submit(_starmap, fn, batch))
             if len(window) == 2 * workers:
-                yield window.popleft().result()
+                yield from window.popleft().result()
         while window:
-            yield window.popleft().result()
+            yield from window.popleft().result()
+
+
+def _starmap(fn: Callable, batch: list[tuple]) -> list:
+    return list(itertools.starmap(fn, batch))
 
 
 def _pool(workers: int):
@@ -99,9 +94,13 @@ def chunk_schedule(trials: int, width: int, stream: tuple[int, ...] = ()) -> Ite
     """``(key, count)`` per chunk, generated lazily: runs of at most
     max(1, CHUNK_ELEMENTS // width) trials, chunk i keyed ``(*stream, i)``.
     Independent of the worker count."""
-    size = max(1, CHUNK_ELEMENTS // width)
+    size = _chunk_trials(width)
     for i, start in enumerate(range(0, trials, size)):
         yield (*stream, i), min(size, trials - start)
+
+
+def _chunk_trials(width: int) -> int:
+    return max(1, CHUNK_ELEMENTS // width)
 
 
 def _seeded_chunk(fn: Callable, args: tuple, seed: int, key: tuple[int, ...], count: int) -> tuple:
@@ -115,7 +114,7 @@ def seeded_chunks(fn: Callable, args: tuple, seed: int, trials: int, width: int,
     ``chunk_schedule(trials, width, stream)``.  Results are folded in chunk
     order as they arrive, so memory stays flat however many chunks run."""
     tasks = ((fn, args, seed, key, count) for key, count in chunk_schedule(trials, width, stream))
-    results = _streamed_map(_seeded_chunk, tasks)
+    results = fan_out(_seeded_chunk, tasks, len(range(0, trials, _chunk_trials(width))))
     totals = next(results)
     for result in results:
         totals = tuple(map(operator.add, totals, result))

@@ -35,7 +35,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from ._env import parallel_map
+from ._env import fan_out
 from .attacksim import AttackScenario, analytic_success, run_attack
 from .keyrate import ProtocolParams, key_rate
 from .montecarlo import McConfig, binomial_stderr, compare_to_analytic
@@ -258,10 +258,9 @@ def cmd_curve(m: dict, out: str | None) -> None:
 
 def cmd_optimize(m: dict, out: str | None) -> None:
     base = _sweep_base(m)
-    optima = parallel_map(
-        partial(optimize_with_M, points_per_decade=m["points_per_decade"]),
-        [(base, eta, m["M_candidates"]) for eta in _eta_grid(m)],
-    )
+    grid = _eta_grid(m)
+    optima = list(fan_out(partial(optimize_with_M, points_per_decade=m["points_per_decade"]),
+                          ((base, eta, m["M_candidates"]) for eta in grid), len(grid)))
     _emit_optima(out, base, optima)
 
 

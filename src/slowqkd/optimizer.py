@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from ._env import parallel_map
+from ._env import fan_out
 from .keyrate import (
     KeyRateResult,
     ProtocolParams,
@@ -204,10 +204,10 @@ def sweep_curves(
 ) -> list[Optimum]:
     """Optimize every (M, eta) point of the spec, in (M, eta) lexicographic order.
 
-    Points are independent; set QKD_THREADS > 1 to spread them over a
-    process pool.  The output does not depend on the worker count.
+    Points are independent.  With QKD_THREADS > 1, ``_env.fan_out`` spreads
+    them over a process pool if the first point's cost says that pays for
+    the workers' start-up.  The output does not depend on where a point ran.
     """
-    return parallel_map(
-        partial(optimize_point, points_per_decade=points_per_decade),
-        [(spec.base, eta, M) for M in sorted(spec.M_values) for eta in spec.eta_grid],
-    )
+    points = [(spec.base, eta, M) for M in sorted(spec.M_values) for eta in spec.eta_grid]
+    return list(fan_out(partial(optimize_point, points_per_decade=points_per_decade),
+                        points, len(points)))

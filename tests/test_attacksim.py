@@ -201,12 +201,19 @@ def test_run_attack_deterministic():
     assert a == b
 
 
-def test_honest_baseline_independent_of_worker_count(monkeypatch):
+def test_honest_baseline_independent_of_worker_count(monkeypatch, two_workers):
     # 2.5*10^6 sequences: three chunks of at most 10^6 (run_attack: test_cli)
     monkeypatch.delenv("QKD_THREADS", raising=False)
     serial = honest_baseline(DEFAULT_SCENARIO, 250, 8)
-    monkeypatch.setenv("QKD_THREADS", "2")
-    assert honest_baseline(DEFAULT_SCENARIO, 250, 8) == serial
+    with two_workers():
+        assert honest_baseline(DEFAULT_SCENARIO, 250, 8) == serial
+
+
+def test_cheap_honest_baseline_starts_no_pool(two_workers):
+    # ten chunks of about 70 us each save far less than a worker's start-up
+    with two_workers(gated=True) as pools:
+        honest_baseline(DEFAULT_SCENARIO, 1000, 8)
+    assert pools == []
 
 
 # ---------------------------------------------------------------------------

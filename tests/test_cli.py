@@ -419,21 +419,40 @@ def test_reruns_are_byte_identical(tmp_path, capsys, argv):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_output_identical_across_worker_counts(tmp_path, monkeypatch, capsys):
-    # both run in several chunks: of 31,250 sequences (M*L = 4*8 elements
-    # each), or of 200,000 attack runs (attacksim._RUN_ARRAYS elements each)
-    assert len(list(chunk_schedule(40_000, 4 * 8))) == 2
+def test_output_identical_across_worker_counts(tmp_path, monkeypatch, capsys, two_workers):
+    # both run in three chunks, enough for a pool of two: of 31,250 sequences
+    # (M*L = 4*8 elements each), or of 200,000 attack runs
+    # (attacksim._RUN_ARRAYS elements each)
+    assert len(list(chunk_schedule(70_000, 4 * 8))) == 3
     assert len(list(chunk_schedule(500_000, attacksim._RUN_ARRAYS))) == 3
     for argv in (["mc-validate", "--mu", "0.01", "--eta", "0.05", "--M", "4", "--L", "8",
-                  "--trials", "40000", "--seed", "6"],
+                  "--trials", "70000", "--seed", "6"],
                  ["attack", "--trials", "500000", "--seed", "6"]):
         a, b = tmp_path / "serial.csv", tmp_path / "pool.csv"
         monkeypatch.delenv("QKD_THREADS", raising=False)
         assert main(argv + ["--out", str(a)]) == 0
-        monkeypatch.setenv("QKD_THREADS", "2")
-        assert main(argv + ["--out", str(b)]) == 0
+        with two_workers():
+            assert main(argv + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes(), argv[0]
+
+
+@pytest.mark.parametrize("threads", ["0", "many"])
+@pytest.mark.parametrize("argv", [
+    ["curve", "--M-list", "1", "--L", "8", "--eta-points", "1"],
+    ["optimize", "--M-candidates", "1", "--L", "8", "--eta-points", "1"],
+    ["attack", "--trials", "10"],
+    ["mc-validate", "--mu", "0.01", "--eta", "0.1", "--L", "8", "--trials", "10"],
+], ids=["curve", "optimize", "attack", "mc-validate"])
+def test_bad_worker_count_is_exit_3_even_for_one_task(tmp_path, monkeypatch, capsys, argv, threads):
+    # one sweep point or one chunk: too little to pool, but QKD_THREADS is still read
+    monkeypatch.setenv("QKD_THREADS", threads)
+    out = tmp_path / "out.csv"
+    code, _, err = run(capsys, argv + ["--out", str(out)])
+    assert code == 3
+    assert f"QKD_THREADS must be a positive integer, got {threads!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -118,14 +118,14 @@ def test_seeded_chunks_memory_stays_flat_in_the_chunk_count(monkeypatch):
     assert peaks[1] - peaks[0] < 64 * 1024, peaks
 
 
-def test_seeded_chunks_in_a_pool_match_one_worker(monkeypatch):
-    # 24 chunks, more than the pool's window of two per worker: the same
-    # per-chunk substreams and the same sums as one worker
+def test_seeded_chunks_in_a_pool_match_one_worker(monkeypatch, two_workers):
+    # 24 one-chunk batches, more than the pool's window of two per worker:
+    # the same per-chunk substreams and the same sums as one worker
     monkeypatch.delenv("QKD_THREADS", raising=False)
     serial = seeded_chunks(_one_draw, (), 5, 24, CHUNK_ELEMENTS, stream=(2,))
     assert serial[1] == sum(int(substream(5, (2, i)).integers(2**32)) for i in range(24))
-    monkeypatch.setenv("QKD_THREADS", "2")
-    assert seeded_chunks(_one_draw, (), 5, 24, CHUNK_ELEMENTS, stream=(2,)) == serial
+    with two_workers():
+        assert seeded_chunks(_one_draw, (), 5, 24, CHUNK_ELEMENTS, stream=(2,)) == serial
 
 
 def test_simulate_is_deterministic():
@@ -137,16 +137,17 @@ def test_simulate_is_deterministic():
     assert simulate(cfg) == simulate(cfg)
 
 
-def test_simulate_independent_of_worker_count(monkeypatch):
+def test_simulate_independent_of_worker_count(monkeypatch, two_workers):
+    # three chunks of at most 62,500 sequences (M*L = 16 elements each)
     cfg = McConfig(
         params=ProtocolParams(mu=0.05, nu_th=0, eta=0.2, M=2, L=8, d_c=1e-4),
-        trials=50_000,
+        trials=150_000,
         seed=7,
     )
     monkeypatch.delenv("QKD_THREADS", raising=False)
     serial = simulate(cfg)
-    monkeypatch.setenv("QKD_THREADS", "2")
-    parallel = simulate(cfg)
+    with two_workers():
+        parallel = simulate(cfg)
     assert serial == parallel
 
 

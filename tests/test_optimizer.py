@@ -1,6 +1,9 @@
 """Parameter search: grid behavior, brute-force agreement, determinism."""
 
 import math
+import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
 from unittest.mock import patch
 
@@ -21,10 +24,10 @@ from slowqkd import (
     optimize_with_M,
     sweep_curves,
 )
-from slowqkd import keyrate, optimizer
+from slowqkd import _env, keyrate, optimizer
 from slowqkd.keyrate import rate_grid
 from slowqkd.optimizer import MU_MAX, MU_MIN
-from slowqkd._env import parallel_map, pool_size, worker_count
+from slowqkd._env import fan_out, worker_count
 
 from oracles import (
     OPTIMIZER_REL,
@@ -325,13 +328,20 @@ def test_sweep_row_order_is_sorted_M_then_eta():
     ]
 
 
-def test_sweep_independent_of_worker_count(monkeypatch):
+def test_sweep_independent_of_worker_count(monkeypatch, two_workers):
     monkeypatch.delenv("QKD_THREADS", raising=False)
     serial = sweep_curves(_small_spec())
-    monkeypatch.setenv("QKD_THREADS", "2")
-    assert worker_count() == 2
-    parallel = sweep_curves(_small_spec())
+    with two_workers():
+        assert worker_count() == 2
+        parallel = sweep_curves(_small_spec())
     assert serial == parallel
+
+
+def test_small_sweep_starts_no_pool(two_workers):
+    # six points of about a millisecond save far less than a worker's start-up
+    with two_workers(gated=True) as pools:
+        sweep_curves(_small_spec())
+    assert pools == []
 
 
 def test_curve_spec_validation():
@@ -358,24 +368,45 @@ def test_worker_count_parsing(monkeypatch):
         worker_count()
 
 
-def test_pool_size_caps_workers_at_tasks_and_cpus():
-    assert pool_size(10**6, 3, 2) == 2
-    assert pool_size(10**6, 3, 64) == 3
-    assert pool_size(4, 100, 8) == 4
-    assert pool_size(4, 0, 8) == 1
-    assert pool_size(4, 100, None) == 1
+def test_fan_out_caps_workers_at_tasks_and_cpus(monkeypatch):
+    # the gate open, and threads standing in for the spawned workers
+    pools = []
+    monkeypatch.setattr(_env, "_pool", lambda n: pools.append(n) or ThreadPoolExecutor(n))
+    monkeypatch.setattr(_env, "WORKER_START_S", 0.0)
+
+    def workers(requested, count, cpus):
+        monkeypatch.setenv("QKD_THREADS", str(requested))
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pools.clear()
+        tasks = [(i, 1) for i in range(count)]
+        assert list(fan_out(operator.sub, tasks, count)) == [i - 1 for i in range(count)]
+        return pools[0] if pools else 1
+
+    assert workers(10**6, 3, 2) == 2  # the CPU count
+    assert workers(10**6, 3, 64) == 2  # the tasks after the first
+    assert workers(10**6, 2, 64) == 1
+    assert workers(4, 100, 8) == 4  # the request
+    assert workers(4, 0, 8) == 1
+    assert workers(4, 100, None) == 1
 
 
-def test_parallel_map_runs_in_process_at_one_worker(monkeypatch):
+def test_fan_out_runs_in_process_at_one_worker(monkeypatch):
     # a lambda cannot be pickled, so these calls prove no pool was started
     monkeypatch.delenv("QKD_THREADS", raising=False)
-    assert parallel_map(lambda a, b: a - b, [(5, 1), (3, 2)]) == [4, 1]
+    assert list(fan_out(lambda a, b: a - b, [(5, 1), (3, 2)], 2)) == [4, 1]
     monkeypatch.setenv("QKD_THREADS", str(10**6))
-    assert parallel_map(lambda a, b: a - b, [(5, 1)]) == [4]
-    assert parallel_map(lambda a: a, []) == []
+    assert list(fan_out(lambda a, b: a - b, [(5, 1)], 1)) == [4]
+    assert list(fan_out(lambda a: a, [], 0)) == []
+    # two CPUs, but too little work to pay for a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tasks = [(i, 1) for i in range(100)]
+    assert list(fan_out(lambda a, b: a - b, tasks, 100)) == [i - 1 for i in range(100)]
 
 
-def test_parallel_map_keeps_task_order_in_a_pool(monkeypatch):
-    monkeypatch.setenv("QKD_THREADS", "2")
+def test_fan_out_keeps_task_order_in_a_pool(monkeypatch, two_workers):
     tasks = [(float(i), 3.0) for i in range(9)]
-    assert parallel_map(math.pow, tasks) == [math.pow(*t) for t in tasks]
+    with two_workers():  # one task per batch
+        assert list(fan_out(math.pow, tasks, 9)) == [math.pow(*t) for t in tasks]
+    with two_workers(), monkeypatch.context() as m:  # the eight after the first in one batch
+        m.setattr(_env, "BATCH_S", 1.0)
+        assert list(fan_out(math.pow, tasks, 9)) == [math.pow(*t) for t in tasks]
