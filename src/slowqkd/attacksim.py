@@ -39,13 +39,14 @@ Monte Carlo does, and add their totals as exact Python ints.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._env import CHUNK_ELEMENTS, check_run, seeded_chunks
+from ._env import check_run, seeded_chunks
 
 __all__ = [
     "AttackScenario",
@@ -203,25 +204,28 @@ class HonestStats:
         return self.sifted_modified_total / self.trials
 
 
+@functools.lru_cache(maxsize=1)
 def _detection_pmf(M: int, eta: float) -> np.ndarray:
-    """Binomial(M, eta) pmf over d = 0..M, built in log space so no term overflows."""
+    """Binomial(M, eta) pmf over d = 0..M in log space (no term overflows); read-only, as cached."""
     if eta == 1.0:  # every pulse is detected; log1p(-1) * 0 would make d = M nan
-        return np.eye(1, M + 1, M)[0]
-    log_fact = np.fromiter(map(math.lgamma, range(1, M + 2)), float, M + 1)  # log d!, d = 0..M
-    log_choose = log_fact[M] - log_fact - log_fact[::-1]
-    d = np.arange(M + 1)
-    pmf = np.exp(log_choose + d * math.log(eta) + (M - d) * math.log1p(-eta))
-    return pmf / pmf.sum()  # else rounding in log d! at large M leaves stray mass to d = M
+        pmf = np.eye(1, M + 1, M)[0]
+    else:
+        log_fact = np.fromiter(map(math.lgamma, range(1, M + 2)), float, M + 1)  # log d!
+        log_choose = log_fact[M] - log_fact - log_fact[::-1]
+        d = np.arange(M + 1)
+        pmf = np.exp(log_choose + d * math.log(eta) + (M - d) * math.log1p(-eta))
+        pmf /= pmf.sum()  # else rounding in log d! at large M leaves stray mass to d = M
+    pmf.flags.writeable = False
+    return pmf
 
 
-def _honest_chunk(sc: AttackScenario, pmf: np.ndarray | None, *,
-                  rng: np.random.Generator, count: int) -> tuple[int, int]:
+def _honest_chunk(sc: AttackScenario, *, rng: np.random.Generator, count: int) -> tuple[int, int]:
     """(naive, modified) sifted yield of ``count`` honest sequences."""
     n_z = rng.binomial(count, sc.p_z)  # sequences are exchangeable: split them by basis once
     naive = modified = 0
     for n_b, q in ((n_z, sc.p_z), (count - n_z, 1.0 - sc.p_z)):
-        if pmf is not None and sc.M < count:  # M < 10^6, so every draw is below count * M < 10^12
-            per_class = rng.multinomial(n_b, pmf)
+        if sc.M < count:  # count <= 10^6, so every draw is below count * M < 10^12
+            per_class = rng.multinomial(n_b, _detection_pmf(sc.M, sc.eta_nominal))
             single = per_class[1]
             multi = rng.binomial(per_class[2:] @ np.arange(2, sc.M + 1), q)
         else:  # more classes than sequences: draw each sequence's detections, each below 2^63
@@ -247,14 +251,12 @@ def honest_baseline(sc: AttackScenario, trials: int, seed: int) -> HonestStats:
     number n_d of sequences with d detections; modified sifting keeps
     Binomial(n_1, q) bits and naive sifting that plus Binomial(sum over
     d >= 2 of d * n_d, q).  That is the exact joint law of the two totals,
-    at O(M) cost per chunk whatever its sequence count.  A chunk with no
-    more sequences than M (huge M) draws each sequence's detections
-    instead, so no array outgrows the chunk and no draw reaches 2^63.  The
-    trials x n_sequences sequences run as one i.i.d. stream of width 1, and
-    memory does not grow with n_sequences.
+    at O(M) cost per chunk whatever its sequence count.  Each chunk picks
+    its path alone: one with no more sequences than M (huge M) draws each
+    sequence's detections instead, so no array outgrows the chunk and no
+    draw reaches 2^63.  The trials x n_sequences sequences run as one
+    i.i.d. stream of width 1, and memory does not grow with n_sequences.
     """
     check_run(trials, seed)
-    sequences = trials * sc.n_sequences
-    pmf = _detection_pmf(sc.M, sc.eta_nominal) if sc.M < min(sequences, CHUNK_ELEMENTS) else None
-    totals = seeded_chunks(_honest_chunk, (sc, pmf), seed, sequences, 1, stream=(1,))
+    totals = seeded_chunks(_honest_chunk, (sc,), seed, trials * sc.n_sequences, 1, stream=(1,))
     return HonestStats(trials, *totals)

@@ -3,14 +3,16 @@
 Simulates photon emission, channel loss, interferometer routing, dark
 counts, dead time and sifting for sequences of M blocks x L pulses.
 
-Two modes:
+With the basis fixed per sequence, Bob reads at most one outcome from a
+sequence: the one in its first block that holds a click.  Both modes sift
+on that block, found by ``_first_block``.
 
 * ``STANDARD`` — the full sifting chain.  Each pulse carries a Poisson(mu)
   photon number; photons survive the channel with probability eta, reach a
   valid detection slot with probability 1/2, and land on the detector
   encoding the correct bit with probability 1 - e_sys.  One dark-count
   opportunity per valid slot fires with probability d_c on a uniformly
-  random detector.  Bob keeps the first block with a click if it contains
+  random detector.  Bob keeps the first clicked block if it contains
   exactly one event (PNR: one photon-number count; threshold: one detector
   clicking with the partner silent).
 * ``BEAM_DUMP`` — the double-count diagnostic with one interferometer arm
@@ -18,8 +20,8 @@ Two modes:
   (1/4 per detector, the rest absorbed); a detector is dead from its first
   click to the end of the sequence, so a photon routed to a dead detector
   is lost (detection probability 1/4 when one detector is live).  A
-  double count is recorded when both detectors' first clicks fall in the
-  same block, necessarily the first clicked block.
+  double count is recorded when both detectors click in the first clicked
+  block, that is when their first clicks fall in the same block.
 
 Trials are vectorized in chunks of at most ``CHUNK_ELEMENTS`` pulse slots
 (one sequence when M*L is larger) by ``_env.seeded_chunks``, the driver the
@@ -113,17 +115,13 @@ class McStats:
 
 @dataclass(frozen=True)
 class McComparison:
-    """One empirical-vs-analytic row; flagged when |z| > 3."""
+    """One empirical-vs-analytic row."""
 
     quantity: str
     analytic: float
     empirical: float
     stderr: float
     z: float
-
-    @property
-    def flagged(self) -> bool:
-        return abs(self.z) > 3.0
 
 
 def binomial_stderr(k: int, n: int) -> float:
@@ -150,10 +148,7 @@ def _standard_events(p: ProtocolParams, rng: np.random.Generator, count: int) ->
     n_src = rng.poisson(p.mu, shape)
     n_bob = rng.binomial(n_src, p.eta)
     n_valid = rng.binomial(n_bob, 0.5)
-    if p.e_sys > 0.0:
-        n_wrong = rng.binomial(n_valid, p.e_sys)
-    else:
-        n_wrong = np.zeros(shape, dtype=np.int64)
+    n_wrong = rng.binomial(n_valid, p.e_sys)  # draws nothing at e_sys = 0
     n_right = n_valid - n_wrong
     correct_det = rng.integers(0, 2, shape)
     if p.d_c > 0.0:
@@ -196,12 +191,11 @@ def _beamdump_events(p: ProtocolParams, rng: np.random.Generator, count: int) ->
 # sifting
 
 
-def _first_click(flat: np.ndarray, L: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ever_clicked, block_of_first_click) per sequence; block = M when silent."""
-    any_click = flat.any(axis=1)
-    first = flat.argmax(axis=1)
-    block = np.where(any_click, first // L, M)
-    return any_click, block
+def _first_block(clicked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, blocks) index of each sequence's first clicked block in a
+    (count, M) mask.  A silent sequence gets block 0, where its masks read
+    False and its counts 0, so it is never sifted."""
+    return np.arange(len(clicked)), clicked.argmax(axis=1)
 
 
 def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,51 +203,42 @@ def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[np.ndarray, np.ndarray,
 
     Returns the per-sequence (accepted, errored, clicks): the two sift
     masks, which tests replay sequence by sequence, and the click count
-    (PNR: total counts; threshold: detectors that ever clicked).
+    (PNR: total counts; threshold: detectors that ever clicked).  PNR keeps
+    the first clicked block if it holds one count; threshold if one detector
+    clicks in it, and reads the bit from that detector's first slot there
+    (no detector clicked earlier, so that slot is its first click).
     """
     ev0, ev1, correct_det = ev["ev0"], ev["ev1"], ev["correct_det"]
-    count = ev0.shape[0]
-    rows = np.arange(count)
 
     if p.detector is Detector.PNR:
         slot_counts = ev0 + ev1
         block_counts = slot_counts.sum(axis=2)
-        has_click = block_counts > 0
-        any_click = has_click.any(axis=1)
-        first_blk = has_click.argmax(axis=1)
-        accepted = any_click & (block_counts[rows, first_blk] == 1)
+        first = _first_block(block_counts > 0)
+        accepted = block_counts[first] == 1
         wrong_counts = (ev0 * (correct_det == 1) + ev1 * (correct_det == 0)).sum(axis=2)
-        errored = accepted & (wrong_counts[rows, first_blk] == 1)
+        errored = accepted & (wrong_counts[first] == 1)
         clicks = slot_counts.sum(axis=(1, 2))
     else:
-        c0 = (ev0 > 0).reshape(count, -1)
-        c1 = (ev1 > 0).reshape(count, -1)
-        any0, b0 = _first_click(c0, p.L, p.M)
-        any1, b1 = _first_click(c1, p.L, p.M)
-        first = np.minimum(b0, b1)
-        in0 = any0 & (b0 == first)
-        in1 = any1 & (b1 == first)
-        accepted = (any0 | any1) & (in0 ^ in1)
-        det = np.where(in0, 0, 1)
-        t = np.where(in0, c0.argmax(axis=1), c1.argmax(axis=1))
-        cd_flat = correct_det.reshape(count, -1)
-        errored = accepted & (cd_flat[rows, t] != det)
-        clicks = any0.astype(np.int64) + any1.astype(np.int64)
+        c0, c1 = ev0 > 0, ev1 > 0
+        k0, k1 = c0.any(axis=2), c1.any(axis=2)  # the blocks each detector clicks in
+        first = _first_block(k0 | k1)
+        in0 = k0[first]
+        accepted = in0 ^ k1[first]
+        slot = (c0[first] | c1[first]).argmax(axis=1)  # where accepted, the partner is silent
+        errored = accepted & (correct_det[(*first, slot)] != np.where(in0, 0, 1))
+        clicks = k0.any(axis=1).astype(np.int64) + k1.any(axis=1)
     return accepted, errored, clicks
 
 
-def _sift_beamdump(p: ProtocolParams, ev: dict) -> tuple[np.ndarray, np.ndarray]:
+def _sift_beamdump(ev: dict) -> tuple[np.ndarray, np.ndarray]:
     """Double-count bookkeeping for beam-dump events: per-sequence (double, clicks).
 
     A detector's first click is unaffected by the partner's dead time, so
-    the double-count condition reduces to: both detectors click at least
-    once and their first clicks land in the same block.
+    a double count is a first clicked block in which both detectors click.
     """
-    count = ev["ev_a"].shape[0]
-    any_a, blk_a = _first_click(ev["ev_a"].reshape(count, -1), p.L, p.M)
-    any_b, blk_b = _first_click(ev["ev_b"].reshape(count, -1), p.L, p.M)
-    double = any_a & any_b & (blk_a == blk_b)
-    return double, any_a.astype(np.int64) + any_b.astype(np.int64)
+    a, b = ev["ev_a"].any(axis=2), ev["ev_b"].any(axis=2)
+    first = _first_block(a | b)
+    return a[first] & b[first], a.any(axis=1).astype(np.int64) + b.any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +255,7 @@ def _chunk(p: ProtocolParams, mode: McMode, *, rng: np.random.Generator, count: 
         accepted, errored, clicks = _sift_standard(p, ev)
     else:
         ev = _beamdump_events(p, rng, count)
-        double, clicks = _sift_beamdump(p, ev)
+        double, clicks = _sift_beamdump(ev)
     multi = ev["n_bob"].sum(axis=2) >= 2
     hist = Counter({k: v for k, v in enumerate(np.bincount(clicks).tolist()) if v > 0})
     return (

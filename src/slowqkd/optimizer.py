@@ -179,7 +179,7 @@ def optimize_with_M(
     if len(M_candidates) == 0:
         raise ValueError("M_candidates must be non-empty")
     best: Optimum | None = None
-    for M in M_candidates:
+    for M in sorted(M_candidates):
         opt = optimize_point(base, eta, M, points_per_decade=points_per_decade)
         if best is None or opt.result.G > best.result.G:
             best = opt

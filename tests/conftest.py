@@ -1,11 +1,30 @@
 """Fixtures shared by the test modules."""
 
 import contextlib
+import json
 import os
+import platform
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from slowqkd import _env
+
+PROVENANCE_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "PROVENANCE.json"
+
+
+@pytest.fixture
+def reference_versions():
+    """Skips the test unless Python, numpy and scipy are the versions recorded
+    in perfbench/refs/PROVENANCE.json, which made the bytes and totals that
+    the test compares with."""
+    made = json.loads(PROVENANCE_FILE.read_text(encoding="utf-8"))
+    here = {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+    unlike = [f"{k} {v} (refs: {made[k]})" for k, v in here.items() if v != made[k]]
+    if unlike:
+        pytest.skip("reference values were made with other versions: " + ", ".join(unlike))
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import pytest
 from slowqkd import (
     DEFAULT_SCENARIO,
     AttackScenario,
+    HonestStats,
     analytic_success,
     honest_baseline,
     run_attack,
@@ -394,6 +395,25 @@ def test_honest_baseline_draws_past_one_chunk_by_class():
     totals = _honest_totals(honest_baseline(sc, trials, seed=43))
     for name, (mean, var) in _honest_moments(sc).items():
         assert abs(_z(totals[name], n, mean, var)) <= 4.0, (name, totals)
+
+
+# (scenario, trials, seed, naive total, modified total), recorded with the versions in
+# perfbench/refs/PROVENANCE.json: three chunks by class; a chunk by class and a last one of
+# 500 sequences, fewer than its 1001 classes; and M = CHUNK_ELEMENTS, so both chunks go
+# sequence by sequence.  A change of draws or substreams changes these totals.
+HONEST_TOTALS = [
+    (DEFAULT_SCENARIO, 250, 8, 2_450_698, 904_742),
+    (HONEST_CASES["per-sequence chunk"][0], 10_005, 43, 5_203_367, 240),
+    (AttackScenario(p_z=0.6, M=10**6, n_sequences=1000, n_measured=10, n_clean=0,
+                    eta_nominal=0.01), 1001, 44, 5_204_489_308, 0),
+]
+
+
+@pytest.mark.usefixtures("reference_versions")
+@pytest.mark.parametrize("sc,trials,seed,naive,modified", HONEST_TOTALS,
+                         ids=["by class", "last chunk by sequence", "M = chunk size"])
+def test_honest_baseline_matches_its_reference_totals(sc, trials, seed, naive, modified):
+    assert honest_baseline(sc, trials, seed) == HonestStats(trials, naive, modified)
 
 
 def test_honest_baseline_default_scenario_is_fast(monkeypatch):

@@ -2,14 +2,11 @@
 
 import importlib
 import json
-import platform
 import shutil
 import subprocess
 from pathlib import Path
 
-import numpy as np
 import pytest
-import scipy
 
 import slowqkd
 from slowqkd import Detector, ProtocolParams, attacksim, key_rate
@@ -462,18 +459,11 @@ REFS = REPO / "perfbench" / "refs"
 PROVENANCE = json.loads((REFS / "PROVENANCE.json").read_text(encoding="utf-8"))
 
 
-def _skip_unless_made_with_these_versions() -> None:
-    here = {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
-    unlike = [f"{k} {v} (refs: {PROVENANCE[k]})" for k, v in here.items() if v != PROVENANCE[k]]
-    if unlike:
-        pytest.skip("reference CSVs were made with other versions: " + ", ".join(unlike))
-
-
+@pytest.mark.usefixtures("reference_versions")
 @pytest.mark.parametrize("fig,cmd", [("fig1", "curve"), ("fig2", "curve"), ("fig3", "optimize")])
 def test_figure_rows_match_the_reference_csvs(tmp_path, capsys, fig, cmd):
     """The figure sweeps reproduce perfbench/refs byte for byte at the first,
     last and two middle eta, each run alone as the benchmark runs it."""
-    _skip_unless_made_with_these_versions()
     header, *rows = (REFS / f"{fig}.csv").read_text(encoding="utf-8").splitlines()
     etas = list(dict.fromkeys(row.split(",", 1)[0] for row in rows))
     for eta in (etas[0], etas[len(etas) // 3], etas[2 * len(etas) // 3], etas[-1]):
@@ -487,11 +477,11 @@ def test_figure_rows_match_the_reference_csvs(tmp_path, capsys, fig, cmd):
     capsys.readouterr()
 
 
+@pytest.mark.usefixtures("reference_versions")
 @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3"])
 def test_whole_figures_match_the_reference_csvs(tmp_path, monkeypatch, capsys, fig):
     """Each figure sweep, run whole with the argv recorded in PROVENANCE.json,
     reproduces its reference CSV byte for byte."""
-    _skip_unless_made_with_these_versions()
     argv = PROVENANCE["files"][f"{fig}.csv"]["argv"][1:]  # without the program name
     out = tmp_path / f"{fig}.csv"
     argv[argv.index("--out") + 1] = str(out)
@@ -557,11 +547,11 @@ REFERENCE_ROWS = [
 ]
 
 
+@pytest.mark.usefixtures("reference_versions")
 @pytest.mark.parametrize("argv,want", [(argv, want) for _, argv, want in REFERENCE_ROWS],
                          ids=[name for name, _, _ in REFERENCE_ROWS])
 def test_small_commands_match_their_reference_rows(capsys, argv, want):
     """keyrate, mc-validate, attack and optimize print these rows byte for byte."""
-    _skip_unless_made_with_these_versions()
     assert run(capsys, argv.split()) == (0, want, "")
 
 

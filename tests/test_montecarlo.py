@@ -47,10 +47,27 @@ BUSY_THR = ProtocolParams(
 # vectorized sift vs pure-Python replay
 
 
-@pytest.mark.parametrize("p", [BUSY_PNR, BUSY_THR], ids=["pnr", "threshold"])
+# sparse parameters, L*eta*mu = 0.1 in each of M = 20 blocks: many sequences click first
+# past block 0 and many never click, so the replay covers the search for the first block
+SPARSE = dict(mu=0.05, nu_th=0, eta=0.25, M=20, L=8, e_sys=0.25, d_c=1e-3)
+SPARSE_PNR = ProtocolParams(detector=Detector.PNR, **SPARSE)
+SPARSE_THR = ProtocolParams(detector=Detector.THRESHOLD, **SPARSE)
+
+
+def _check_first_clicks_spread(p, clicked):
+    """A sparse input, whose (count, M) block mask is ``clicked``, holds sequences
+    whose first click is past block 0 and fully silent ones."""
+    if p.M == SPARSE["M"]:
+        ever = clicked.any(axis=1)
+        assert (ever & ~clicked[:, 0]).any() and not ever.all()
+
+
+@pytest.mark.parametrize("p", [BUSY_PNR, BUSY_THR, SPARSE_PNR, SPARSE_THR],
+                         ids=["pnr", "threshold", "sparse-pnr", "sparse-threshold"])
 def test_sift_standard_matches_replay(p):
     rng = substream(1234, (0,))
     ev = _standard_events(p, rng, 400)
+    _check_first_clicks_spread(p, (ev["ev0"] + ev["ev1"]).any(axis=2))
     accepted, errored, _ = _sift_standard(p, ev)
     for i in range(400):
         want = replay_standard(p, ev, i)
@@ -58,14 +75,16 @@ def test_sift_standard_matches_replay(p):
 
 
 def test_sift_beamdump_matches_replay():
-    p = ProtocolParams(
+    busy = ProtocolParams(
         mu=1.5, nu_th=0, eta=0.9, M=3, L=4, d_c=0.05, detector=Detector.THRESHOLD
     )
-    rng = substream(99, (0,))
-    ev = _beamdump_events(p, rng, 400)
-    double, _ = _sift_beamdump(p, ev)
-    for i in range(400):
-        assert bool(double[i]) == replay_beamdump(p, ev, i), f"sequence {i}"
+    for p in (busy, SPARSE_THR):
+        rng = substream(99, (0,))
+        ev = _beamdump_events(p, rng, 400)
+        _check_first_clicks_spread(p, (ev["ev_a"] | ev["ev_b"]).any(axis=2))
+        double, _ = _sift_beamdump(ev)
+        for i in range(400):
+            assert bool(double[i]) == replay_beamdump(p, ev, i), (p.M, f"sequence {i}")
 
 
 def test_multi_photon_counters_follow_ground_truth():
@@ -239,7 +258,6 @@ def test_compare_to_analytic_rows_and_zscores():
     q = rows[0]
     assert q.analytic == pytest.approx(detection_rate_Q(p), rel=1e-12)
     assert abs(q.z) <= 4.0  # leading-order analytic, lambda = 8e-4
-    assert not q.flagged or abs(q.z) > 3.0
 
 
 # ---------------------------------------------------------------------------

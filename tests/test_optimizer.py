@@ -292,9 +292,10 @@ def test_optimize_with_M_beats_each_candidate():
 
 def test_optimize_with_M_dead_channel_prefers_smallest_M():
     dead = replace(BASE, d_c=1e-3)
-    best = optimize_with_M(dead, eta=1e-9, M_candidates=(1, 10, 100))
-    assert best.result.G == 0.0
-    assert best.M == 1
+    for cands in ((1, 10, 100), (10, 1)):  # every G ties at 0, whatever the order given
+        best = optimize_with_M(dead, eta=1e-9, M_candidates=cands)
+        assert best.result.G == 0.0
+        assert best.M == 1, cands
 
 
 def test_dead_time_optimum_beats_fixed_M(monkeypatch):
