@@ -12,8 +12,10 @@ choice inflates that fraction to whole-sequence scope (``e_src_slow``).
 The model is written once (``_model``) over a namespace argument, in the
 style of the array API standard: ``math`` for one point (``key_rate``, whose
 fields hold each quantity), numpy for the optimizer's grid (``rate_grid``).
-Only the branch points differ: the geometric sum at r = 1, e_src_slow at
-e_src = 1, the entropy endpoints, the e_ph >= 1/2 saturation, and gammainc.
+Only the branch points differ: quotients at a zero denominator (the
+geometric sum at r = 1, e_bit and e_mB/Q at Q = 0), e_src_slow at e_src = 1,
+the entropy (0 outside (0, 1) for one point, so it never raises), the
+e_ph >= 1/2 saturation, gammainc, and ``keep``, the one place that decides G.
 """
 
 from __future__ import annotations
@@ -143,13 +145,16 @@ def _h(xp, x):
 # log1p(-1) = -inf, h(0) = h(1) = 0, and the phase penalty is one bit from
 # e_ph = 1/2 on: there the bound concedes all phase information, and h would
 # fall again and pass a worthless bound (e_ph = 1 at nu_th = L-1) as key.
+# ``keep`` is the no-key rule: G = G_raw where a phase-error bound exists and
+# G_raw > 0, else 0.
 _SCALAR = SimpleNamespace(  # one operating point, with math
     exp=math.exp, expm1=math.expm1,
     log1p=lambda x: math.log1p(x) if x > -1.0 else -math.inf,
     quotient=lambda a, b, at_zero: a / b if b else at_zero,
     gammainc=lambda a, x: float(gammainc(a, x)),
-    entropy=lambda x: 0.0 if x == 0.0 or x == 1.0 else _h(math, x),
+    entropy=lambda x: _h(math, x) if 0.0 < x < 1.0 else 0.0,
     penalty=lambda e: 1.0 if e >= 0.5 else _SCALAR.entropy(e),
+    keep=lambda bound, g: g if bound and g > 0.0 else 0.0,
 )
 _ARRAY = SimpleNamespace(  # a (nu_th, mu) grid, with numpy under np.errstate
     exp=np.exp, expm1=np.expm1, log1p=np.log1p,
@@ -157,6 +162,7 @@ _ARRAY = SimpleNamespace(  # a (nu_th, mu) grid, with numpy under np.errstate
     gammainc=gammainc,
     entropy=lambda x: np.where((x == 0.0) | (x == 1.0), 0.0, _h(np, x)),
     penalty=lambda e: np.where(e >= 0.5, 1.0, _ARRAY.entropy(e)),
+    keep=lambda bound, g: np.where(bound & (g > 0.0), g, 0.0),
 )
 
 
@@ -214,10 +220,11 @@ def _phase_bound(x, nu_th, L: int):
 def _model(xp, p: ProtocolParams, mu, nu_th):
     """The rate model at (``mu``, ``nu_th``) and the rest of ``p``, over ``xp``.
 
-    Yields three stages: (Q, e_src_slow, e_mB); (e_bit, bound), where
-    ``bound`` says whether a phase-error bound exists; (e_ph, G_raw).  Over
-    ``_SCALAR``, take a stage only if the earlier ones leave a key (Q > 0,
-    then bound).  Per-point values branch only inside ``xp``.
+    Returns (Q, e_src_slow, e_mB, e_bit, bound, e_ph, G_raw, G), where
+    ``bound`` says whether a phase-error bound exists and G = ``xp.keep(bound,
+    G_raw)``.  Every value is computed at every point; per-point values branch
+    only inside ``xp``.  e_bit is nan where Q = 0, and where no bound exists
+    e_ph and G_raw mean nothing and ``keep`` gives G = 0.
 
     The block tagged fraction P(N > nu_th) = 1 - e^{-L mu} sum_{v<=nu_th}
     (L mu)^v / v! is the regularized incomplete gamma gammainc(nu_th+1, L mu),
@@ -238,15 +245,14 @@ def _model(xp, p: ProtocolParams, mu, nu_th):
     if p.detector is Detector.THRESHOLD:
         emb = 8.0 * _multi_detection(lam, decay, signal, L, d_c) * geom
     esl = _e_src_slow(xp, xp.gammainc(nu_th + 1, L * mu), M)
-    yield Q, esl, emb
-    ebit = (signal * p.e_sys + 0.5 * dark) / (signal + dark)  # dark counts err at 1/2
+    ebit = xp.quotient(signal * p.e_sys + 0.5 * dark, signal + dark, math.nan)  # darks err at 1/2
     usable = Q - emb  # double-count candidates are discarded
     x = xp.quotient(esl, usable, math.nan)
-    yield ebit, (usable > 0.0) & (x <= 1.0)
+    bound = (usable > 0.0) & (x <= 1.0)  # implies Q > 0, since e_mB >= 0
     eph = _phase_bound(x, nu_th, L)
-    frac = emb / Q
-    rate = 1.0 - xp.entropy(ebit) - frac - (1.0 - frac) * xp.penalty(eph)
-    yield eph, Q / (M * L + p.c_d) * rate
+    frac = xp.quotient(emb, Q, math.nan)
+    g_raw = Q / (M * L + p.c_d) * (1.0 - xp.entropy(ebit) - frac - (1.0 - frac) * xp.penalty(eph))
+    return Q, esl, emb, ebit, bound, eph, g_raw, xp.keep(bound, g_raw)
 
 
 def _keyed_rows(p: ProtocolParams) -> int:
@@ -281,7 +287,7 @@ def detection_rate_Q(p: ProtocolParams) -> float:
     with the silent-block rate r and per-block click rate s from the
     module model.
     """
-    return next(_model(_SCALAR, p, p.mu, p.nu_th))[0]
+    return _model(_SCALAR, p, p.mu, p.nu_th)[0]
 
 
 def bit_error_rate(p: ProtocolParams) -> float:
@@ -291,10 +297,10 @@ def bit_error_rate(p: ProtocolParams) -> float:
     over blocks cancels against the one in Q.  Raises when the detection
     rate is zero (no sifted bits exist).
     """
-    stages = _model(_SCALAR, p, p.mu, p.nu_th)
-    if next(stages)[0] <= 0.0:
+    model = _model(_SCALAR, p, p.mu, p.nu_th)
+    if model[0] <= 0.0:
         raise ValueError("bit error rate undefined: detection rate is zero")
-    return next(stages)[0]
+    return model[3]
 
 
 def key_rate(p: ProtocolParams) -> KeyRateResult:
@@ -307,29 +313,22 @@ def key_rate(p: ProtocolParams) -> KeyRateResult:
     evaluates only the threshold one.  A missing phase-error bound is
     reported as G = 0 with a reason code instead of raising.
     """
-    stages = _model(_SCALAR, p, p.mu, p.nu_th)
-    Q, esl, emb = next(stages)
-    if Q <= 0.0:
-        return KeyRateResult(0.0, 0.0, Q, math.nan, math.nan, esl, emb, reason="no_detection")
-    ebit, bound = next(stages)
-    if not bound:
-        return KeyRateResult(0.0, 0.0, Q, ebit, math.nan, esl, emb, reason="no_valid_bound")
-    eph, g_raw = next(stages)
-    return KeyRateResult(g_raw, max(0.0, g_raw), Q, ebit, eph, esl, emb)
+    Q, esl, emb, ebit, bound, eph, g_raw, G = _model(_SCALAR, p, p.mu, p.nu_th)
+    if bound:
+        return KeyRateResult(g_raw, G, Q, ebit, eph, esl, emb)
+    reason = "no_valid_bound" if Q > 0.0 else "no_detection"  # e_bit is nan where Q = 0
+    return KeyRateResult(0.0, 0.0, Q, ebit, math.nan, esl, emb, reason=reason)
 
 
 def _clamped_rate(p: ProtocolParams, mu: float, nu_th: int) -> float:
-    """``key_rate(replace(p, mu=mu, nu_th=nu_th)).G``, bit for bit, from the stages.
+    """``key_rate(replace(p, mu=mu, nu_th=nu_th)).G``, bit for bit, from the model.
 
-    ``_model`` reads mu and nu_th only from its arguments, and the branches
-    are ``key_rate``'s in its order, so the float operations are the same;
-    what is skipped is re-validating ``p`` and building a ``KeyRateResult``.
-    ``mu`` and ``nu_th`` must lie in the domain ``ProtocolParams`` accepts.
+    ``_model`` reads mu and nu_th only from its arguments, and ``key_rate``
+    reads G from it too; what is skipped is re-validating ``p`` and building
+    a ``KeyRateResult``.  ``mu`` and ``nu_th`` must lie in the domain
+    ``ProtocolParams`` accepts.
     """
-    stages = _model(_SCALAR, p, mu, nu_th)
-    if next(stages)[0] <= 0.0 or not next(stages)[1]:  # Q <= 0, or no bound
-        return 0.0
-    return max(0.0, next(stages)[1])
+    return _model(_SCALAR, p, mu, nu_th)[-1]
 
 
 def rate_grid(p: ProtocolParams, mu: Sequence[float], nu_th: Sequence[int]) -> np.ndarray:
@@ -344,6 +343,4 @@ def rate_grid(p: ProtocolParams, mu: Sequence[float], nu_th: Sequence[int]) -> n
     """
     mu, nu = np.asarray(mu, dtype=float), np.asarray(nu_th)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, (_, bound), (_, g_raw) = _model(_ARRAY, p, mu, nu)
-    # bound implies Q > 0, since e_mB >= 0
-    return np.where(bound & (g_raw > 0.0), g_raw, 0.0)
+        return _model(_ARRAY, p, mu, nu)[-1]

@@ -136,6 +136,11 @@ def binomial_stderr(k: int, n: int) -> float:
 # event generation
 
 
+def _arrivals(p: ProtocolParams, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Photons reaching Bob per slot: Poisson(mu) emitted, each kept with probability eta."""
+    return rng.binomial(rng.poisson(p.mu, shape), p.eta)
+
+
 def _standard_events(p: ProtocolParams, rng: np.random.Generator, count: int) -> dict:
     """Per-slot event arrays for ``count`` sequences of the standard chain.
 
@@ -143,20 +148,16 @@ def _standard_events(p: ProtocolParams, rng: np.random.Generator, count: int) ->
     slot on each physical detector; correct_det says which detector
     encodes Alice's bit for that slot; n_bob is the pre-interferometer
     photon number per pulse (ground truth for multi-photon accounting).
+    Dark counts are the chunk's last draws, made at any d_c (at 0 all False).
     """
     shape = (count, p.M, p.L)
-    n_src = rng.poisson(p.mu, shape)
-    n_bob = rng.binomial(n_src, p.eta)
+    n_bob = _arrivals(p, rng, shape)
     n_valid = rng.binomial(n_bob, 0.5)
     n_wrong = rng.binomial(n_valid, p.e_sys)  # draws nothing at e_sys = 0
     n_right = n_valid - n_wrong
     correct_det = rng.integers(0, 2, shape)
-    if p.d_c > 0.0:
-        dark = rng.random(shape) < p.d_c
-        dark_det = rng.integers(0, 2, shape)
-    else:
-        dark = np.zeros(shape, dtype=bool)
-        dark_det = np.zeros(shape, dtype=np.int64)
+    dark = rng.random(shape) < p.d_c
+    dark_det = rng.integers(0, 2, shape)
     ev0 = np.where(correct_det == 0, n_right, n_wrong) + (dark & (dark_det == 0))
     ev1 = np.where(correct_det == 0, n_wrong, n_right) + (dark & (dark_det == 1))
     return {"ev0": ev0, "ev1": ev1, "correct_det": correct_det, "n_bob": n_bob}
@@ -167,22 +168,15 @@ def _beamdump_events(p: ProtocolParams, rng: np.random.Generator, count: int) ->
 
     Each arriving photon is absorbed with probability 1/2 and otherwise
     routed to one of the two detectors with probability 1/4 each; one
-    dark-count opportunity per slot and per detector.
+    dark-count opportunity per slot and per detector, drawn last at any d_c.
     """
     shape = (count, p.M, p.L)
-    n_src = rng.poisson(p.mu, shape)
-    n_bob = rng.binomial(n_src, p.eta)
+    n_bob = _arrivals(p, rng, shape)
     to_a = rng.binomial(n_bob, 0.25)
     to_b = rng.binomial(n_bob - to_a, 1.0 / 3.0)
-    if p.d_c > 0.0:
-        dark_a = rng.random(shape) < p.d_c
-        dark_b = rng.random(shape) < p.d_c
-    else:
-        dark_a = np.zeros(shape, dtype=bool)
-        dark_b = np.zeros(shape, dtype=bool)
     return {
-        "ev_a": (to_a > 0) | dark_a,
-        "ev_b": (to_b > 0) | dark_b,
+        "ev_a": (to_a > 0) | (rng.random(shape) < p.d_c),
+        "ev_b": (to_b > 0) | (rng.random(shape) < p.d_c),
         "n_bob": n_bob,
     }
 
@@ -211,13 +205,12 @@ def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[np.ndarray, np.ndarray,
     ev0, ev1, correct_det = ev["ev0"], ev["ev1"], ev["correct_det"]
 
     if p.detector is Detector.PNR:
-        slot_counts = ev0 + ev1
-        block_counts = slot_counts.sum(axis=2)
+        block_counts = (ev0 + ev1).sum(axis=2)
         first = _first_block(block_counts > 0)
         accepted = block_counts[first] == 1
-        wrong_counts = (ev0 * (correct_det == 1) + ev1 * (correct_det == 0)).sum(axis=2)
+        wrong_counts = np.where(correct_det == 0, ev1, ev0).sum(axis=2)
         errored = accepted & (wrong_counts[first] == 1)
-        clicks = slot_counts.sum(axis=(1, 2))
+        clicks = block_counts.sum(axis=1)
     else:
         c0, c1 = ev0 > 0, ev1 > 0
         k0, k1 = c0.any(axis=2), c1.any(axis=2)  # the blocks each detector clicks in
@@ -278,12 +271,17 @@ def simulate(cfg: McConfig) -> McStats:
     return McStats(*counts, clicks_histogram=dict(sorted(hist.items())))
 
 
-def _z_score(empirical: float, analytic: float, stderr: float) -> float:
-    if stderr == 0.0:
-        if empirical == analytic:
-            return 0.0
-        return math.copysign(math.inf, empirical - analytic)
-    return (empirical - analytic) / stderr
+def _comparison(quantity: str, analytic: float, k: int, n: int, scale: float) -> McComparison:
+    """The row of ``scale`` times the proportion k/n.  Where Wald's stderr is 0
+    (k = 0 or n) but the model's proportion a = analytic/scale lies in (0, 1),
+    z divides by the model's stderr scale * sqrt(a(1-a)/n) instead."""
+    empirical = scale * (k / n) if n else math.nan
+    stderr = scale * binomial_stderr(k, n)
+    a = analytic / scale
+    se = scale * math.sqrt(a * (1.0 - a) / n) if stderr == 0.0 and 0.0 < a < 1.0 else stderr
+    diff = empirical - analytic
+    z = diff / se if se != 0.0 else 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+    return McComparison(quantity, analytic, empirical, stderr, z)
 
 
 def compare_to_analytic(cfg: McConfig) -> list[McComparison]:
@@ -298,9 +296,8 @@ def compare_to_analytic(cfg: McConfig) -> list[McComparison]:
     stats = simulate(cfg)
     model = key_rate(cfg.params)  # e_bit is nan where Q = 0: no sifted bits exist
     if cfg.mode is McMode.STANDARD:
-        rows = [("Q", model.Q, stats.detection_rate(), stats.detection_stderr()),
-                ("e_bit", model.e_bit, stats.bit_error_rate(), stats.bit_error_stderr())]
+        rows = [("Q", model.Q, stats.detected, stats.sequences, 1.0),
+                ("e_bit", model.e_bit, stats.bit_errors, stats.detected, 1.0)]
     else:
-        rows = [("e_mB", model.e_mB, 8.0 * stats.double_count_rate(),
-                 8.0 * stats.double_count_stderr())]
-    return [McComparison(q, ana, emp, se, _z_score(emp, ana, se)) for q, ana, emp, se in rows]
+        rows = [("e_mB", model.e_mB, stats.double_counts, stats.sequences, 8.0)]
+    return [_comparison(*row) for row in rows]

@@ -7,10 +7,10 @@ h(x*) = 1 - h(e_sys): from there on the untagged phase-error bound
 nu_th/(L-1) alone costs every bit a sifted bit can carry, so the rows left
 out hold G = 0 exactly (``keyrate._keyed_rows`` derives this).  The
 ``nu_th`` holding the grid maximum and its two neighbours are then refined
-by golden-section search in log(mu) through the model's stages, from the
-first grid pass (``keyrate._clamped_rate``).  ``M`` is picked from an
-explicit candidate list.  No randomness is involved anywhere, so repeated
-runs are bit-identical.
+by golden-section search in log(mu) through the scalar model
+(``keyrate._clamped_rate``), from the first grid pass.  ``M`` is picked
+from an explicit candidate list.  No randomness is involved anywhere, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations

@@ -510,7 +510,7 @@ REFERENCE_ROWS = [
     ("mc-standard", "mc-validate --mu 0.005 --eta 0.05 --L 8 --trials 30000 --seed 9",
      MC_HEADER + "\n"
      "Q,0.000998009998667333,0.0011333333333333334,0.000194254891734965,0.696627680556076\n"
-     "e_bit,0.030003767497324696,0.0,0.0,-inf\n"),
+     "e_bit,0.030003767497324696,0.0,0.0,-1.0255157400613493\n"),
     ("mc-beamdump",
      "mc-validate --mu 0.05 --eta 0.3 --L 8 --detector threshold --mode beamdump --trials 20000"
      " --seed 4",
@@ -524,8 +524,19 @@ REFERENCE_ROWS = [
      "e_bit,0.030094101552621724,0.01694915254237288,0.009702314585073516,-1.354826097936634\n"),
     ("mc-no-dark", "mc-validate --mu 1e-9 --eta 1e-7 --L 8 --d-c 0 --trials 1000 --seed 5",
      MC_HEADER + "\n"
-     "Q,3.999999999999997e-16,0.0,0.0,-inf\n"
+     "Q,3.999999999999997e-16,0.0,0.0,-6.324555320336757e-07\n"
      "e_bit,0.03,nan,nan,nan\n"),
+    ("mc-threshold-no-dark",
+     "mc-validate --mu 0.01 --eta 0.1 --L 8 --M 20 --d-c 0 --detector threshold --trials 3000"
+     " --seed 6",
+     MC_HEADER + "\n"
+     "Q,0.07363278737763561,0.07833333333333334,0.004905684533349116,0.9581834958491842\n"
+     "e_bit,0.03,0.029787234042553193,0.011089568556472886,-0.01918613482240627\n"),
+    ("mc-beamdump-no-dark",
+     "mc-validate --mu 0.05 --eta 0.3 --L 8 --M 4 --d-c 0 --detector threshold --mode beamdump"
+     " --trials 20000 --seed 7",
+     MC_HEADER + "\n"
+     "e_mB,0.021528057712758356,0.0216,0.0029354168358173595,0.024508371814122076\n"),
     ("attack-default", "attack --trials 200000 --seed 11",
      ATTACK_HEADER + "\n"
      "0.99,100,10000,99,1,200000,0.0036972963764972675,0.003625,0.00013438488335746696,9802.36781,"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from slowqkd import (
     Detector,
+    KeyRateResult,
     ProtocolParams,
     binary_entropy,
     bit_error_rate,
@@ -348,12 +349,45 @@ def test_key_rate_dead_time_only_rescales():
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_clamped_rate_is_key_rate_G_bit_for_bit(detector, data):
-    """The optimizer's refinement reads G from the stages; it must be the
+    """The optimizer's refinement reads G from the model; it must be the
     G of ``key_rate`` at the same point exactly, whatever mu and nu_th the
     base carries."""
     p = data.draw(protocol_params(detector=detector))
     base = replace(p, mu=MU_MAX, nu_th=p.L - 1)
     assert keyrate._clamped_rate(base, p.mu, p.nu_th) == key_rate(p).G
+
+
+# The model computes every value at every point: where Q = 0, and where
+# e_mB > Q makes x and e_ph negative (math.log2 would raise at h(e_ph)).
+_NO_KEY_POINTS = [
+    (ProtocolParams(mu=0.01, nu_th=3, eta=0.0, M=10, L=16, d_c=0.0, detector=detector),
+     KeyRateResult(0.0, 0.0, 0.0, math.nan, math.nan, 0.00024031541280073674, 0.0,
+                   reason="no_detection"))
+    for detector in Detector
+] + [
+    (ProtocolParams(mu=3 / 128, nu_th=0, eta=1.0, M=1, L=128, detector=Detector.THRESHOLD),
+     KeyRateResult(0.0, 0.0, 0.07468073055179592, 0.030000805562553495, math.nan,
+                   0.950212931632136, 0.22404196000407808, reason="no_valid_bound")),
+    (ProtocolParams(mu=3 / 128, nu_th=0, eta=1.0, M=100, L=128, detector=Detector.THRESHOLD),
+     KeyRateResult(0.0, 0.0, 0.07859367838933276, 0.030000805562553495, math.nan,
+                   1.0, 0.2357807913791602, reason="no_valid_bound")),
+]
+
+
+@pytest.mark.parametrize("p,want", _NO_KEY_POINTS,
+                         ids=["Q0-pnr", "Q0-threshold", "emB-above-Q-M1", "emB-above-Q-M100"])
+def test_points_without_key_run_the_whole_model(p, want):
+    res = key_rate(p)
+    assert res.reason == want.reason
+    for name in ("G_raw", "G", "Q", "e_bit", "e_ph", "e_src_slow", "e_mB"):
+        got, expected = getattr(res, name), getattr(want, name)
+        assert got == expected or math.isnan(got) and math.isnan(expected), name
+    Q, _, emb, _, bound, eph, _, G = keyrate._model(_SCALAR, p, p.mu, p.nu_th)
+    assert not bound and G == 0.0
+    assert Q == 0.0 or emb > Q and eph < 0.0
+    base = replace(p, mu=MU_MAX, nu_th=p.L - 1)
+    assert keyrate._clamped_rate(base, p.mu, p.nu_th) == key_rate(p).G == 0.0
+    assert rate_grid(p, [p.mu], [p.nu_th])[0, 0] == 0.0
 
 
 @settings(max_examples=300, deadline=None)

@@ -25,6 +25,7 @@ from slowqkd import (
     detection_rate_Q,
     simulate,
 )
+from slowqkd import montecarlo
 from slowqkd._env import CHUNK_ELEMENTS, chunk_schedule, seeded_chunks, substream
 from slowqkd.montecarlo import (
     _beamdump_events, _chunk, _sift_beamdump, _sift_standard, _standard_events,
@@ -258,6 +259,34 @@ def test_compare_to_analytic_rows_and_zscores():
     q = rows[0]
     assert q.analytic == pytest.approx(detection_rate_Q(p), rel=1e-12)
     assert abs(q.z) <= 4.0  # leading-order analytic, lambda = 8e-4
+
+
+def test_z_of_a_zero_count_uses_the_model_stderr():
+    """No double count among 2e5 sequences, where the model expects 0.05: the
+    Wald stderr is 0, so z divides by 8 sqrt(a(1-a)/n) at a = e_mB/8 and
+    reads a small miss, not -inf.  The stderr column stays Wald's."""
+    p = ProtocolParams(mu=0.005, nu_th=0, eta=0.05, M=1, L=8, detector=Detector.THRESHOLD)
+    cfg = McConfig(params=p, trials=200_000, seed=1, mode=McMode.BEAM_DUMP)
+    (row,) = compare_to_analytic(cfg)
+    assert row.empirical == row.stderr == 0.0
+    a = row.analytic / 8.0
+    assert row.z == -row.analytic / (8.0 * math.sqrt(a * (1.0 - a) / cfg.trials))
+    assert -1.0 < row.z < 0.0
+
+
+@pytest.mark.parametrize("k,n,scale,analytic,z", [
+    (20, 100, 1.0, 0.1, (0.2 - 0.1) / binomial_stderr(20, 100)),  # Wald's stderr > 0: as is
+    (0, 100, 1.0, 0.0, 0.0),  # the model expects no events either
+    (100, 100, 1.0, 1.0, 0.0),
+    (100, 100, 8.0, 0.0, math.inf),  # analytic 0 or 1: the model has no stderr either
+    (0, 100, 8.0, 8.0, -math.inf),
+    (12, 12, 1.0, 0.75, 0.25 / math.sqrt(0.75 * 0.25 / 12)),  # every trial an event
+    (0, 0, 1.0, 0.03, math.nan),  # e_bit without detections
+])
+def test_comparison_z_branches(k, n, scale, analytic, z):
+    row = montecarlo._comparison("x", analytic, k, n, scale)
+    assert row.z == z or math.isnan(row.z) and math.isnan(z)
+    assert row.stderr == scale * binomial_stderr(k, n) or math.isnan(row.stderr) and n == 0
 
 
 # ---------------------------------------------------------------------------
