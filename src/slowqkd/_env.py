@@ -8,6 +8,7 @@ import os
 import sys
 import time
 from collections import deque
+from numbers import Integral
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -77,8 +78,16 @@ def _pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
 
 
+def check_integers(**fields) -> None:
+    """Refuse a field that is not an integer (numpy integers are; bools are not)."""
+    for name, value in fields.items():
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_run(trials: int, seed: int) -> None:
     """Refuse a seed below 0, or trials outside [1, sys.maxsize] (what a range can index)."""
+    check_integers(trials=trials, seed=seed)
     if not 1 <= trials <= sys.maxsize:
         raise ValueError(f"trials must be in [1, {sys.maxsize}], got {trials}")
     if seed < 0:

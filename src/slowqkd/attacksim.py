@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._env import check_run, seeded_chunks
+from ._env import check_integers, check_run, seeded_chunks
 
 __all__ = [
     "AttackScenario",
@@ -76,6 +76,8 @@ class AttackScenario:
     def __post_init__(self) -> None:
         if not 0.0 < self.p_z < 1.0:
             raise ValueError(f"p_z must be in (0, 1), got {self.p_z}")
+        check_integers(M=self.M, n_sequences=self.n_sequences, n_measured=self.n_measured,
+                       n_clean=self.n_clean)
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if self.n_sequences * self.M > sys.float_info.max:

@@ -15,7 +15,9 @@ fields hold each quantity), numpy for the optimizer's grid (``rate_grid``).
 Only the branch points differ: quotients at a zero denominator (the
 geometric sum at r = 1, e_bit and e_mB/Q at Q = 0), e_src_slow at e_src = 1,
 the entropy (0 outside (0, 1) for one point, so it never raises), the
-e_ph >= 1/2 saturation, gammainc, and ``keep``, the one place that decides G.
+e_ph >= 1/2 saturation, gammainc (for one point scipy's compiled scalar,
+``cython_special.gammainc``, which equals its ufunc bit for bit at a tenth
+of the call cost), and ``keep``, the one place that decides G.
 """
 
 from __future__ import annotations
@@ -25,10 +27,13 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import cython_special, gammainc
+
+from ._env import check_integers
 
 __all__ = [
     "Detector",
@@ -87,6 +92,7 @@ class ProtocolParams:
     detector: Detector = Detector.PNR
 
     def __post_init__(self) -> None:
+        check_integers(nu_th=self.nu_th, M=self.M, L=self.L)
         if self.L < 2:
             raise ValueError(f"L must be an integer >= 2, got {self.L}")
         if self.M < 1:
@@ -151,7 +157,7 @@ _SCALAR = SimpleNamespace(  # one operating point, with math
     exp=math.exp, expm1=math.expm1,
     log1p=lambda x: math.log1p(x) if x > -1.0 else -math.inf,
     quotient=lambda a, b, at_zero: a / b if b else at_zero,
-    gammainc=lambda a, x: float(gammainc(a, x)),
+    gammainc=cython_special.gammainc,
     entropy=lambda x: _h(math, x) if 0.0 < x < 1.0 else 0.0,
     penalty=lambda e: 1.0 if e >= 0.5 else _SCALAR.entropy(e),
     keep=lambda bound, g: g if bound and g > 0.0 else 0.0,
@@ -217,7 +223,15 @@ def _phase_bound(x, nu_th, L: int):
     return x + (1.0 - x) * (nu_th / (L - 1))  # tagged share x leaks fully, the rest nu_th/(L-1)
 
 
-def _model(xp, p: ProtocolParams, mu, nu_th):
+def _tagged(xp, L: int, mu, nu_th):
+    """The block tagged fraction P(N > nu_th) = 1 - e^{-L mu} sum_{v<=nu_th}
+    (L mu)^v / v!: the regularized incomplete gamma gammainc(nu_th+1, L mu),
+    stable for large nu_th and in both tails (no factorial overflow, no
+    cancellation).  It depends on L, mu and nu_th alone."""
+    return xp.gammainc(nu_th + 1, L * mu)
+
+
+def _model(xp, p: ProtocolParams, mu, nu_th, tagged=None):
     """The rate model at (``mu``, ``nu_th``) and the rest of ``p``, over ``xp``.
 
     Returns (Q, e_src_slow, e_mB, e_bit, bound, e_ph, G_raw, G), where
@@ -226,13 +240,11 @@ def _model(xp, p: ProtocolParams, mu, nu_th):
     only inside ``xp``.  e_bit is nan where Q = 0, and where no bound exists
     e_ph and G_raw mean nothing and ``keep`` gives G = 0.
 
-    The block tagged fraction P(N > nu_th) = 1 - e^{-L mu} sum_{v<=nu_th}
-    (L mu)^v / v! is the regularized incomplete gamma gammainc(nu_th+1, L mu),
-    stable for large nu_th and in both tails (no factorial overflow, no
-    cancellation).  e_mB is 8 times the double-count candidates, summed over
-    blocks like Q (0 for PNR).  The phase bound uses x = e_src_slow/(Q - e_mB);
-    none exists when Q - e_mB <= 0 or x > 1: ``key_rate``'s "no_valid_bound"
-    when Q > 0 (Q <= 0 is "no_detection").
+    ``tagged`` is ``_tagged(xp, p.L, mu, nu_th)``, computed here unless the
+    caller holds it already.  e_mB is 8 times the double-count candidates,
+    summed over blocks like Q (0 for PNR).  The phase bound uses x =
+    e_src_slow/(Q - e_mB); none exists when Q - e_mB <= 0 or x > 1:
+    ``key_rate``'s "no_valid_bound" when Q > 0 (Q <= 0 is "no_detection").
     """
     L, M, d_c = p.L, p.M, p.d_c
     lam = L * p.eta * mu
@@ -244,7 +256,7 @@ def _model(xp, p: ProtocolParams, mu, nu_th):
     emb = 0.0  # PNR detectors resolve photon number
     if p.detector is Detector.THRESHOLD:
         emb = 8.0 * _multi_detection(lam, decay, signal, L, d_c) * geom
-    esl = _e_src_slow(xp, xp.gammainc(nu_th + 1, L * mu), M)
+    esl = _e_src_slow(xp, _tagged(xp, L, mu, nu_th) if tagged is None else tagged, M)
     ebit = xp.quotient(signal * p.e_sys + 0.5 * dark, signal + dark, math.nan)  # darks err at 1/2
     usable = Q - emb  # double-count candidates are discarded
     x = xp.quotient(esl, usable, math.nan)
@@ -269,7 +281,12 @@ def _keyed_rows(p: ProtocolParams) -> int:
     G > 0; one spare row past them absorbs rounding.  Bisection keeps the
     upper end, where h >= 1 - h(e_sys).
     """
-    target = 1.0 - _SCALAR.entropy(p.e_sys)
+    return min(p.L, math.ceil(_x_star(p.e_sys) * (p.L - 1)) + 2)
+
+
+@lru_cache(maxsize=8)  # a sweep has one e_sys
+def _x_star(e_sys: float) -> float:
+    target = 1.0 - _SCALAR.entropy(e_sys)
     lo, hi = 0.0, 0.5
     for _ in range(64):
         mid = 0.5 * (lo + hi)
@@ -277,7 +294,7 @@ def _keyed_rows(p: ProtocolParams) -> int:
             lo = mid
         else:
             hi = mid
-    return min(p.L, math.ceil(hi * (p.L - 1)) + 2)
+    return hi
 
 
 def detection_rate_Q(p: ProtocolParams) -> float:
@@ -331,7 +348,8 @@ def _clamped_rate(p: ProtocolParams, mu: float, nu_th: int) -> float:
     return _model(_SCALAR, p, mu, nu_th)[-1]
 
 
-def rate_grid(p: ProtocolParams, mu: Sequence[float], nu_th: Sequence[int]) -> np.ndarray:
+def rate_grid(p: ProtocolParams, mu: Sequence[float], nu_th: Sequence[int],
+              tagged: np.ndarray | None = None) -> np.ndarray:
     """Clamped key rate G over a (nu_th, mu) grid at the rest of ``p``.
 
     ``out[i, j]`` is ``key_rate(replace(p, mu=mu[j], nu_th=nu_th[i])).G``,
@@ -340,7 +358,9 @@ def rate_grid(p: ProtocolParams, mu: Sequence[float], nu_th: Sequence[int]) -> n
     ``math`` in the last place, so entries agree with ``key_rate`` to
     rounding, not bit for bit.  ``mu`` and ``nu_th`` replace ``p``'s and are
     not validated: they must lie in the domain ``ProtocolParams`` accepts.
+    ``tagged``, if given, is the (nu_th, mu) table of ``_tagged`` at ``p.L``,
+    which a sweep builds once (``optimizer``); it is used as it is.
     """
     mu, nu = np.asarray(mu, dtype=float), np.asarray(nu_th)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _model(_ARRAY, p, mu, nu)[-1]
+        return _model(_ARRAY, p, mu, nu, tagged)[-1]

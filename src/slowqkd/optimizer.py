@@ -11,22 +11,29 @@ by golden-section search in log(mu) through the scalar model
 (``keyrate._clamped_rate``), from the first grid pass.  ``M`` is picked
 from an explicit candidate list.  No randomness is involved anywhere, so
 repeated runs are bit-identical.
+
+The grid's tagged fraction gammainc(nu_th + 1, L mu) depends on L, the mu
+grid and the rows alone, so a sweep builds each chunk of that table once
+and hands it to ``rate_grid``; the cache keeps two chunks (at most
+2 * _GRID_CELLS floats) whatever L is, and each process builds its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from ._env import fan_out
 from .keyrate import (
+    _ARRAY,
     KeyRateResult,
     ProtocolParams,
     _clamped_rate,
     _keyed_rows,
+    _tagged,
     key_rate,
     rate_grid,
 )
@@ -94,8 +101,21 @@ def mu_grid(points_per_decade: int = POINTS_PER_DECADE) -> list[float]:
     return [10.0 ** (lo + (hi - lo) * i / n) for i in range(n + 1)]
 
 
+@lru_cache(maxsize=2)
+def _grid(points_per_decade: int) -> tuple[float, ...]:
+    return tuple(mu_grid(points_per_decade))
+
+
+@lru_cache(maxsize=2)  # L = 4096 needs two chunks
+def _tagged_chunk(L: int, points_per_decade: int, lo: int, hi: int) -> np.ndarray:
+    """``keyrate._tagged`` for rows lo..hi-1 over the mu grid, read-only."""
+    table = _tagged(_ARRAY, L, np.asarray(_grid(points_per_decade)), np.arange(lo, hi)[:, None])
+    table.flags.writeable = False
+    return table
+
+
 def _best_mu(
-    base: ProtocolParams, nu_th: int, grid: list[float], best_i: int, best_g: float
+    base: ProtocolParams, nu_th: int, grid: tuple[float, ...], best_i: int, best_g: float
 ) -> tuple[float, float]:
     """Maximize clamped G over mu at one nu_th: golden-section in log(mu).
 
@@ -148,13 +168,14 @@ def optimize_point(
     (mu = MU_MIN, nu_th = 0) with G = 0.
     """
     base = replace(base, eta=eta, M=M)  # validates eta and M, which rate_grid does not
-    grid = mu_grid(points_per_decade)
+    grid = _grid(points_per_decade)
     chunk = max(1, _GRID_CELLS // len(grid))
     keyed = _keyed_rows(base)
     peak_i: list[int] = []  # per keyed row: the index of its first maximum on the grid
     peak_g: list[float] = []  # and that maximum
     for lo in range(0, keyed, chunk):
-        rows = rate_grid(base, grid, range(lo, min(lo + chunk, keyed)))
+        hi = min(lo + chunk, keyed)
+        rows = rate_grid(base, grid, range(lo, hi), _tagged_chunk(base.L, points_per_decade, lo, hi))
         peak_i += rows.argmax(axis=1).tolist()
         peak_g += rows.max(axis=1).tolist()
     best_nu, best_mu = int(np.argmax(peak_g)), grid[0]  # first maximum: smaller nu_th

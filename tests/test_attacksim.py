@@ -65,6 +65,24 @@ def test_scenario_field_validation():
     run_attack(AttackScenario(M=2**62, n_sequences=1, n_measured=1, n_clean=0, eta_nominal=1.0), 3, 1)
 
 
+@pytest.mark.parametrize("field", ["M", "n_sequences", "n_measured", "n_clean"])
+def test_scenario_counts_refuse_non_integers(field):
+    # each of these floats keeps the pulse budget balanced, so only the type check refuses it
+    value = {"M": 2.5, "n_sequences": 10_000.0, "n_measured": 99.0, "n_clean": 1.0}[field]
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        AttackScenario(**{field: value})
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        AttackScenario(**{field: True})
+
+
+@pytest.mark.parametrize("trials,seed,field", [(2.5, 1, "trials"), (10, 1.0, "seed"), (True, 1, "trials")])
+def test_run_counts_refuse_non_integers(trials, seed, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        run_attack(SMALL, trials, seed)
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        honest_baseline(SMALL, trials, seed)
+
+
 def test_totals_past_int64_are_exact_python_ints():
     # one run holds up to M * n_forwarded = 2^62 matched pulses, so the
     # totals of three or four runs pass 2^63 and must not wrap negative

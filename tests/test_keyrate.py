@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc
 
 from slowqkd import (
     Detector,
@@ -485,6 +486,49 @@ def test_protocol_params_validation(kwargs, needle):
     base.update(kwargs)
     with pytest.raises(ValueError, match=rf"\b{needle}\b"):
         ProtocolParams(**base)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("nu_th", 1.5), ("M", 2.5), ("L", 128.5), ("M", 2.0), ("L", np.float64(128.0)),
+     ("nu_th", True), ("M", True), ("L", "128"), ("M", None)],
+)
+def test_integer_fields_refuse_anything_but_integers(field, value):
+    """nu_th, M and L are counts: 2.5 sequences has no meaning, so a float
+    (even a whole one), a bool or a string is refused with the field named."""
+    kwargs = dict(mu=0.01, nu_th=1, eta=0.1, M=2, L=128)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        ProtocolParams(**kwargs)
+
+
+def test_numpy_integer_fields_are_integers():
+    p = ProtocolParams(mu=0.01, nu_th=np.int64(3), eta=0.1, M=np.int32(20), L=np.int64(128))
+    assert key_rate(p) == key_rate(ProtocolParams(mu=0.01, nu_th=3, eta=0.1, M=20, L=128))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_scalar_tail_is_the_ufunc_bit_for_bit(data):
+    """One point takes P(N > nu_th) from scipy's compiled scalar
+    (cython_special), the grid from the ufunc: over the domain ProtocolParams
+    accepts, mu = 0, L mu near nu_th + 1 (where the algorithm switches) and
+    L mu near the _LAM_MAX bound included, they agree exactly."""
+    L = data.draw(st.one_of(st.integers(2, 256), st.integers(2, 10**6)))
+    nu = data.draw(st.one_of(st.integers(0, min(L - 1, 64)), st.integers(0, L - 1)))
+    lam = data.draw(st.one_of(
+        st.just(0.0),
+        st.floats(0.0, keyrate._LAM_MAX),
+        st.floats(-12.0, math.log10(keyrate._LAM_MAX)).map(lambda e: 10.0**e),
+        st.floats(0.8, 1.25).map(lambda r: r * (nu + 1)),
+        st.floats(0.999, 1.0).map(lambda r: r * keyrate._LAM_MAX),
+    ))
+    mu = lam / L
+    while L * mu > keyrate._LAM_MAX:  # rounding in lam / L
+        mu = math.nextafter(mu, 0.0)
+    p = ProtocolParams(mu=mu, nu_th=nu, eta=0.5, L=L)
+    a, x = p.nu_th + 1, p.L * p.mu
+    assert _SCALAR.gammainc(a, x) == float(gammainc(a, x))
 
 
 def test_largest_accepted_mu_keeps_the_rate_finite():

@@ -181,6 +181,10 @@ def test_config_validation():
         McConfig(params=p, trials=10, seed=-1)
     with pytest.raises(ValueError, match="THRESHOLD"):
         McConfig(params=p, trials=10, seed=1, mode=McMode.BEAM_DUMP)
+    with pytest.raises(ValueError, match="^trials must be an integer"):
+        McConfig(params=p, trials=1000.0, seed=1)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        McConfig(params=p, trials=10, seed=1.5)
 
 
 # ---------------------------------------------------------------------------

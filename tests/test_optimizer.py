@@ -7,9 +7,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc
 
 from slowqkd import (
     Detector,
@@ -133,14 +135,16 @@ _CANONICAL = [
 
 @pytest.mark.parametrize("base,eta,Ms", _CANONICAL)
 def test_one_grid_pass_and_refinement_through_the_stages(monkeypatch, base, eta, Ms):
-    """Each point grids its keyed rows once, in chunks, and refines three
-    rows by golden section through ``_clamped_rate`` (2 + 32 evaluations
-    each, 102 in all); ``key_rate`` is called once, for the result."""
+    """Each point grids its keyed rows once, in chunks, each with its cached
+    tagged-fraction table, and refines three rows by golden section through
+    ``_clamped_rate`` (2 + 32 evaluations each, 102 in all); ``key_rate`` is
+    called once, for the result."""
     calls = {"rows": [], "refine": 0, "key_rate": 0}
 
-    def grid(p, mu, nu_th):
+    def grid(p, mu, nu_th, tagged):
         calls["rows"].append(list(nu_th))
-        return rate_grid(p, mu, nu_th)
+        assert tagged.shape == (len(nu_th), len(mu)) and not tagged.flags.writeable
+        return rate_grid(p, mu, nu_th, tagged)
 
     def refine(*args):
         calls["refine"] += 1
@@ -163,6 +167,63 @@ def test_one_grid_pass_and_refinement_through_the_stages(monkeypatch, base, eta,
         assert len(calls["rows"]) == math.ceil(keyed / chunk)
         assert sum(calls["rows"], []) == list(range(keyed))
         assert calls["key_rate"] == 1
+
+
+def _clear_sweep_caches() -> None:
+    for cached in (optimizer._tagged_chunk, optimizer._grid, keyrate._x_star):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("L", [16, 128, 4096])
+def test_a_sweep_builds_each_table_chunk_once(monkeypatch, L):
+    """Seven M values at three eta share one tagged-fraction table: each of
+    its chunks is built by the first point and read by the other twenty."""
+    monkeypatch.delenv("QKD_THREADS", raising=False)
+    base = replace(BASE, L=L)
+    Ms = (1, 2, 10, 100, 1000, 10**4, 10**6)
+    chunks = math.ceil(keyrate._keyed_rows(base) / (optimizer._GRID_CELLS // len(mu_grid())))
+    _clear_sweep_caches()
+    sweep_curves(CurveSpec(base, (1e-5, 1e-2, 1.0), Ms))
+    info = optimizer._tagged_chunk.cache_info()
+    assert (info.misses, info.hits) == (chunks, (3 * len(Ms) - 1) * chunks)
+
+
+@pytest.mark.parametrize("L", [2, 16, 128, 4096])
+def test_cached_table_is_the_fresh_tail_and_read_only(L):
+    grid = np.asarray(mu_grid(), dtype=float)
+    chunk = optimizer._GRID_CELLS // len(grid)
+    keyed = keyrate._keyed_rows(replace(BASE, L=L))
+    for lo in range(0, keyed, chunk):
+        hi = min(lo + chunk, keyed)
+        table = optimizer._tagged_chunk(L, optimizer.POINTS_PER_DECADE, lo, hi)
+        assert table.tobytes() == gammainc(np.arange(lo, hi)[:, None] + 1, L * grid).tobytes()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("base,eta,Ms", _CANONICAL)
+def test_cold_and_warm_caches_give_the_same_optimum(monkeypatch, base, eta, Ms):
+    """A point's Optimum is the same, every field bit for bit, whether the
+    sweep caches are empty, already hold its tables, or are bypassed so that
+    ``rate_grid`` computes the tail itself."""
+    for M in Ms[:3]:
+        _clear_sweep_caches()
+        cold = _fields(optimize_point(base, eta, M))
+        assert _fields(optimize_point(base, eta, M)) == cold
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_tagged_chunk", lambda *key: None)
+            assert _fields(optimize_point(base, eta, M)) == cold
+
+
+def test_the_table_cache_keeps_at_most_two_chunks():
+    """Points at L = 128 (one chunk), 4096 (two) and 16 (one) in turn never
+    leave more than two chunks, about 2 * _GRID_CELLS floats, retained."""
+    _clear_sweep_caches()
+    for L in (128, 4096, 16):
+        optimize_point(replace(BASE, L=L), 1e-2, 10)
+        assert optimizer._tagged_chunk.cache_info().currsize <= 2
+    assert optimizer._tagged_chunk.cache_info().maxsize == 2
 
 
 @pytest.mark.parametrize(
