@@ -39,8 +39,9 @@ def fan_out(fn: Callable, tasks: Iterable[tuple], count: int) -> Iterator:
     """``fn(*task)`` for each of the ``count`` tasks, yielded in task order.
 
     At one worker, min(QKD_THREADS, CPU count, count - 1), a plain starmap.
-    Otherwise the first task runs here, timed, and a pool starts only if
-    (count - 1) * cost * (1 - 1/workers) exceeds WORKER_START_S.  It takes
+    Otherwise the first two tasks run here and the second is timed (the
+    first may also build the process's caches), and a pool starts only if
+    (count - 2) * cost * (1 - 1/workers) exceeds WORKER_START_S.  It takes
     batches of about BATCH_S, two per worker in flight; results do not depend
     on where a task ran.  Workers are spawned (the caller may hold BLAS
     threads), so ``fn`` must be importable and sees no run-time patches.
@@ -48,12 +49,13 @@ def fan_out(fn: Callable, tasks: Iterable[tuple], count: int) -> Iterator:
     tasks = iter(tasks)
     workers = max(1, min(worker_count(), os.cpu_count() or 1, count - 1))
     cost = 0.0
-    if workers > 1:
+    if workers > 1:  # so count >= 3
+        yield fn(*next(tasks))
         start = time.perf_counter()
-        first = fn(*next(tasks))
+        second = fn(*next(tasks))
         cost = time.perf_counter() - start
-        yield first
-    if (count - 1) * cost * (1 - 1 / workers) <= WORKER_START_S:
+        yield second
+    if (count - 2) * cost * (1 - 1 / workers) <= WORKER_START_S:
         yield from itertools.starmap(fn, tasks)
         return
     size = max(1, int(BATCH_S / cost))
@@ -118,8 +120,8 @@ def _seeded_chunk(fn: Callable, args: tuple, seed: int, key: tuple[int, ...], co
 
 def seeded_chunks(fn: Callable, args: tuple, seed: int, trials: int, width: int,
                   stream: tuple[int, ...] = ()) -> tuple:
-    """The one driver of every stochastic engine: column sums of the ints or
-    Counters ``fn(*args, rng=substream(seed, key), count=count)`` returns over
+    """The one driver of every stochastic engine: column sums of the ints
+    ``fn(*args, rng=substream(seed, key), count=count)`` returns over
     ``chunk_schedule(trials, width, stream)``.  Results are folded in chunk
     order as they arrive, so memory stays flat however many chunks run."""
     tasks = ((fn, args, seed, key, count) for key, count in chunk_schedule(trials, width, stream))

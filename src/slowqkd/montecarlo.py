@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +77,13 @@ class McConfig:
 class McStats:
     """Empirical counters from one simulation.
 
-    ``multi_photon_blocks`` counts blocks carrying >= 2 photons at Bob's
-    input (ground truth, pre-detection); ``multi_photon_sequences`` counts
-    sequences containing at least one such block.  ``clicks_histogram``
-    maps the per-sequence click count (PNR: total counts; threshold /
-    beam dump: number of detectors that ever clicked) to its frequency.
+    ``detected`` counts the sequences the standard sift keeps and
+    ``bit_errors`` those of them read in error; ``double_counts`` counts the
+    beam-dump sequences whose first clicked block holds clicks on both
+    detectors.  A mode's own counters are the only ones it fills; the others
+    read 0.  ``multi_photon_blocks`` counts blocks carrying >= 2 photons at
+    Bob's input (ground truth, pre-detection); ``multi_photon_sequences``
+    counts sequences containing at least one such block.
     """
 
     sequences: int
@@ -91,26 +92,6 @@ class McStats:
     double_counts: int
     multi_photon_blocks: int
     multi_photon_sequences: int
-    clicks_histogram: dict[int, int]
-
-    def detection_rate(self) -> float:
-        return self.detected / self.sequences
-
-    def detection_stderr(self) -> float:
-        return binomial_stderr(self.detected, self.sequences)
-
-    def bit_error_rate(self) -> float:
-        """Bit errors per detected sequence; nan without detections, like its stderr."""
-        return self.bit_errors / self.detected if self.detected else math.nan
-
-    def bit_error_stderr(self) -> float:
-        return binomial_stderr(self.bit_errors, self.detected)
-
-    def double_count_rate(self) -> float:
-        return self.double_counts / self.sequences
-
-    def double_count_stderr(self) -> float:
-        return binomial_stderr(self.double_counts, self.sequences)
 
 
 @dataclass(frozen=True)
@@ -192,15 +173,14 @@ def _first_block(clicked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(len(clicked)), clicked.argmax(axis=1)
 
 
-def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[np.ndarray, np.ndarray]:
     """Apply the sifting rule to standard-mode events.
 
-    Returns the per-sequence (accepted, errored, clicks): the two sift
-    masks, which tests replay sequence by sequence, and the click count
-    (PNR: total counts; threshold: detectors that ever clicked).  PNR keeps
-    the first clicked block if it holds one count; threshold if one detector
-    clicks in it, and reads the bit from that detector's first slot there
-    (no detector clicked earlier, so that slot is its first click).
+    Returns the per-sequence sift masks (accepted, errored), which tests
+    replay sequence by sequence.  PNR keeps the first clicked block if it
+    holds one count; threshold if one detector clicks in it, and reads the
+    bit from that detector's first slot there (no detector clicked earlier,
+    so that slot is its first click).
     """
     ev0, ev1, correct_det = ev["ev0"], ev["ev1"], ev["correct_det"]
 
@@ -210,7 +190,6 @@ def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[np.ndarray, np.ndarray,
         accepted = block_counts[first] == 1
         wrong_counts = np.where(correct_det == 0, ev1, ev0).sum(axis=2)
         errored = accepted & (wrong_counts[first] == 1)
-        clicks = block_counts.sum(axis=1)
     else:
         c0, c1 = ev0 > 0, ev1 > 0
         k0, k1 = c0.any(axis=2), c1.any(axis=2)  # the blocks each detector clicks in
@@ -219,19 +198,18 @@ def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[np.ndarray, np.ndarray,
         accepted = in0 ^ k1[first]
         slot = (c0[first] | c1[first]).argmax(axis=1)  # where accepted, the partner is silent
         errored = accepted & (correct_det[(*first, slot)] != np.where(in0, 0, 1))
-        clicks = k0.any(axis=1).astype(np.int64) + k1.any(axis=1)
-    return accepted, errored, clicks
+    return accepted, errored
 
 
-def _sift_beamdump(ev: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Double-count bookkeeping for beam-dump events: per-sequence (double, clicks).
+def _sift_beamdump(ev: dict) -> np.ndarray:
+    """Double-count bookkeeping for beam-dump events: the per-sequence double mask.
 
     A detector's first click is unaffected by the partner's dead time, so
     a double count is a first clicked block in which both detectors click.
     """
     a, b = ev["ev_a"].any(axis=2), ev["ev_b"].any(axis=2)
     first = _first_block(a | b)
-    return a[first] & b[first], a.any(axis=1).astype(np.int64) + b.any(axis=1)
+    return a[first] & b[first]
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +218,21 @@ def _sift_beamdump(ev: dict) -> tuple[np.ndarray, np.ndarray]:
 
 def _chunk(p: ProtocolParams, mode: McMode, *, rng: np.random.Generator, count: int) -> tuple:
     """The counters of ``count`` sequences, in ``McStats`` field order: the
-    sift's own counts, then the ground-truth multi-photon counters and the
-    click histogram that both modes share."""
+    sift's own counts, then the ground-truth multi-photon counters that both
+    modes share."""
     accepted = errored = double = ()  # a mode's sift makes only its own masks; the rest count 0
     if mode is McMode.STANDARD:
         ev = _standard_events(p, rng, count)
-        accepted, errored, clicks = _sift_standard(p, ev)
+        accepted, errored = _sift_standard(p, ev)
     else:
         ev = _beamdump_events(p, rng, count)
-        double, clicks = _sift_beamdump(ev)
+        double = _sift_beamdump(ev)
     multi = ev["n_bob"].sum(axis=2) >= 2
-    hist = Counter({k: v for k, v in enumerate(np.bincount(clicks).tolist()) if v > 0})
     return (
         count,
         *(int(np.count_nonzero(mask)) for mask in (accepted, errored, double)),
         int(multi.sum()),
         int(multi.any(axis=1).sum()),
-        hist,
     )
 
 
@@ -267,31 +243,39 @@ def simulate(cfg: McConfig) -> McStats:
     identical statistics regardless of QKD_THREADS.
     """
     p = cfg.params
-    *counts, hist = seeded_chunks(_chunk, (p, cfg.mode), cfg.seed, cfg.trials, p.M * p.L)
-    return McStats(*counts, clicks_histogram=dict(sorted(hist.items())))
+    return McStats(*seeded_chunks(_chunk, (p, cfg.mode), cfg.seed, cfg.trials, p.M * p.L))
 
 
 def _comparison(quantity: str, analytic: float, k: int, n: int, scale: float) -> McComparison:
-    """The row of ``scale`` times the proportion k/n.  Where Wald's stderr is 0
-    (k = 0 or n) but the model's proportion a = analytic/scale lies in (0, 1),
-    z divides by the model's stderr scale * sqrt(a(1-a)/n) instead."""
-    empirical = scale * (k / n) if n else math.nan
-    stderr = scale * binomial_stderr(k, n)
+    """The row of ``scale`` times the proportion k/n, with Wald's stderr.
+
+    z is the score statistic (k - n a) / sqrt(n a (1 - a)) of the model's
+    proportion a = analytic/scale: it divides by the model's spread, not the
+    sample's, so it stays finite when k = 0 or n.  z is nan without trials
+    (n = 0) or without a model value, and 0 or +-inf where the model has no
+    spread (a = 0, a = 1, or a bound past 1) as k meets n a or not."""
     a = analytic / scale
-    se = scale * math.sqrt(a * (1.0 - a) / n) if stderr == 0.0 and 0.0 < a < 1.0 else stderr
-    diff = empirical - analytic
-    z = diff / se if se != 0.0 else 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-    return McComparison(quantity, analytic, empirical, stderr, z)
+    diff, var = k - n * a, n * a * (1.0 - a)
+    if n == 0 or math.isnan(a):
+        z = math.nan
+    elif var > 0.0:
+        z = diff / math.sqrt(var)
+    else:
+        z = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+    empirical = scale * (k / n) if n else math.nan
+    return McComparison(quantity, analytic, empirical, scale * binomial_stderr(k, n), z)
 
 
 def compare_to_analytic(cfg: McConfig) -> list[McComparison]:
-    """Simulate and tabulate empirical vs analytic rates with z-scores.
+    """Simulate and tabulate empirical vs analytic rates with score z-values.
 
-    STANDARD mode reports the detection rate Q and the sifted bit error
-    rate; BEAM_DUMP mode reports eight times the double-count rate against
-    the analytic multi-detection bound e_mB (a leading-order, deliberately
+    STANDARD mode reports the detection rate Q (k detections of n
+    sequences) and the sifted bit error rate (k errors of n detections);
+    BEAM_DUMP mode reports eight times the double-count rate against the
+    analytic multi-detection bound e_mB (a leading-order, deliberately
     conservative quantity, so large positive z values are expected there
-    at high dark-count rates).
+    at high dark-count rates).  Each row's z is the score statistic of the
+    model's proportion (``_comparison``).
     """
     stats = simulate(cfg)
     model = key_rate(cfg.params)  # e_bit is nan where Q = 0: no sifted bits exist

@@ -92,11 +92,13 @@ class CurveSpec:
 
 
 def mu_grid(points_per_decade: int = POINTS_PER_DECADE) -> list[float]:
-    """Logarithmic mu scan grid covering [MU_MIN, MU_MAX]."""
-    if points_per_decade < 1:
-        raise ValueError(f"points_per_decade must be >= 1, got {points_per_decade}")
+    """Logarithmic mu scan grid covering [MU_MIN, MU_MAX], at most
+    ``_GRID_CELLS`` points so that one row fits a ``rate_grid`` call."""
     lo = math.log10(MU_MIN)
     hi = math.log10(MU_MAX)
+    most = int((_GRID_CELLS - 1) / (hi - lo))
+    if not 1 <= points_per_decade <= most:
+        raise ValueError(f"points_per_decade must be in [1, {most}], got {points_per_decade}")
     n = round((hi - lo) * points_per_decade)
     return [10.0 ** (lo + (hi - lo) * i / n) for i in range(n + 1)]
 

@@ -16,7 +16,7 @@ from slowqkd import (
     run_attack,
 )
 
-from oracles import honest_baseline_sequences, run_attack_events
+from oracles import honest_baseline_sequences, run_attack_events, z_score
 
 # small enough for the pulse-level engine, same structure as the default
 SMALL = AttackScenario(
@@ -127,8 +127,7 @@ def test_run_sizes_past_sys_maxsize_and_negative_seeds_are_refused():
 def test_run_attack_success_frequency():
     stats = run_attack(DEFAULT_SCENARIO, trials=200_000, seed=17)
     ana = analytic_success(DEFAULT_SCENARIO)
-    se = math.sqrt(ana * (1 - ana) / stats.trials)
-    assert abs(stats.empirical_success - ana) <= 3.0 * se
+    assert abs(z_score(stats.successes, stats.trials, ana, ana * (1 - ana))) <= 3.0
 
 
 def test_run_attack_naive_sifting_leaks_key_material():
@@ -201,7 +200,7 @@ def test_run_attack_totals_match_their_exact_moments():
     stats = run_attack(sc, trials=200_000, seed=32)
     for total, (mean, var) in ((stats.bit_errors_total, _error_moments(sc)),
                                (stats.sifted_naive_total, _naive_moments(sc))):
-        z = (total - stats.trials * mean) / math.sqrt(stats.trials * var)
+        z = z_score(total, stats.trials, mean, var)
         assert abs(z) <= 4.0, (total, mean, var, z)
 
 
@@ -252,10 +251,9 @@ def test_event_engine_invariants():
 
 def test_event_engine_success_frequency_matches_analytic():
     outcomes = run_attack_events(SMALL, trials=3000, seed=24)
-    freq = sum(o.undetected_success for o in outcomes) / len(outcomes)
+    wins = sum(o.undetected_success for o in outcomes)
     ana = analytic_success(SMALL)
-    se = math.sqrt(ana * (1 - ana) / len(outcomes))
-    assert abs(freq - ana) <= 4.0 * se
+    assert abs(z_score(wins, len(outcomes), ana, ana * (1 - ana))) <= 4.0
 
 
 def test_event_engine_agrees_with_sequence_engine_on_yield():
@@ -369,12 +367,6 @@ def _honest_totals(st) -> dict[str, int]:
             "multi": st.sifted_naive_total - st.sifted_modified_total}
 
 
-def _z(total: int, n: int, mean: float, var: float) -> float:
-    if var == 0.0:
-        return 0.0 if total == n * mean else math.inf
-    return (total - n * mean) / math.sqrt(n * var)
-
-
 @pytest.mark.parametrize("case", list(HONEST_CASES))
 def test_honest_baseline_matches_sequence_oracle_and_exact_moments(case):
     sc, trials = HONEST_CASES[case]
@@ -384,7 +376,7 @@ def test_honest_baseline_matches_sequence_oracle_and_exact_moments(case):
     slow = _honest_totals(honest_baseline_sequences(sc, trials, seed=42))
     for name, (mean, var) in _honest_moments(sc).items():
         for engine in (fast, slow):
-            assert abs(_z(engine[name], n, mean, var)) <= 4.0, (name, engine, mean, var)
+            assert abs(z_score(engine[name], n, mean, var)) <= 4.0, (name, engine, mean, var)
         assert abs(fast[name] - slow[name]) <= 4.0 * math.sqrt(2 * n * var), (name, fast, slow)
 
 
@@ -396,7 +388,7 @@ def test_honest_baseline_spread_matches_the_exact_variance():
     n = trials * sc.n_sequences
     moments = _honest_moments(sc)
     for name, (mean, var) in moments.items():
-        z = [_z(_honest_totals(honest_baseline(sc, trials, seed))[name], n, mean, var)
+        z = [z_score(_honest_totals(honest_baseline(sc, trials, seed))[name], n, mean, var)
              for seed in range(100, 140)]
         avg = sum(z) / len(z)
         sd = math.sqrt(sum((x - avg) ** 2 for x in z) / (len(z) - 1))
@@ -412,7 +404,7 @@ def test_honest_baseline_draws_past_one_chunk_by_class():
     n = trials * sc.n_sequences
     totals = _honest_totals(honest_baseline(sc, trials, seed=43))
     for name, (mean, var) in _honest_moments(sc).items():
-        assert abs(_z(totals[name], n, mean, var)) <= 4.0, (name, totals)
+        assert abs(z_score(totals[name], n, mean, var)) <= 4.0, (name, totals)
 
 
 # (scenario, trials, seed, naive total, modified total), recorded with the versions in

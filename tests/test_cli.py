@@ -361,6 +361,18 @@ def test_huge_run_sizes_are_exit_3_naming_the_field(tmp_path, capsys, argv, key)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("ppd", [10_923, 10**9])
+def test_an_oversized_mu_grid_is_exit_3_naming_points_per_decade(tmp_path, capsys, ppd):
+    # 10^9 was a MemoryError traceback (exit 1) under a 3 GB address-space limit;
+    # from 10,923 on, one mu row no longer fits one rate_grid call
+    out_path = tmp_path / "curve.csv"
+    code, out, err = run(capsys, ["curve", "--points-per-decade", str(ppd), "--eta-points", "1",
+                                  "--M-list", "1", "--out", str(out_path)])
+    assert (code, out) == (3, "")
+    assert "error: points_per_decade" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_beamdump_requires_threshold_detector_exit_3(capsys):
     code, _, err = run(capsys, [
         "mc-validate", "--mu", "0.05", "--eta", "0.3", "--mode", "beamdump",
@@ -509,19 +521,19 @@ REFERENCE_ROWS = [
      "0.12014662085535613,0.0,0.0,0.0\n"),
     ("mc-standard", "mc-validate --mu 0.005 --eta 0.05 --L 8 --trials 30000 --seed 9",
      MC_HEADER + "\n"
-     "Q,0.000998009998667333,0.0011333333333333334,0.000194254891734965,0.696627680556076\n"
+     "Q,0.000998009998667333,0.0011333333333333334,0.000194254891734965,0.7423055296453855\n"
      "e_bit,0.030003767497324696,0.0,0.0,-1.0255157400613493\n"),
     ("mc-beamdump",
      "mc-validate --mu 0.05 --eta 0.3 --L 8 --detector threshold --mode beamdump --trials 20000"
      " --seed 4",
      MC_HEADER + "\n"
-     "e_mB,0.006385833530191638,0.0056,0.0014961390309727236,-0.5252409795637264\n"),
+     "e_mB,0.006385833530191638,0.0056,0.0014961390309727236,-0.49188679730882834\n"),
     ("mc-threshold-M100",
      "mc-validate --mu 0.001 --eta 0.01 --L 128 --M 100 --detector threshold --trials 3000"
      " --seed 5",
      MC_HEADER + "\n"
-     "Q,0.060046149546824856,0.059,0.004301898805566366,-0.24318320679026958\n"
-     "e_bit,0.030094101552621724,0.01694915254237288,0.009702314585073516,-1.354826097936634\n"),
+     "Q,0.060046149546824856,0.059,0.004301898805566366,-0.2411895855303938\n"
+     "e_bit,0.030094101552621724,0.01694915254237288,0.009702314585073516,-1.0236230284666374\n"),
     ("mc-no-dark", "mc-validate --mu 1e-9 --eta 1e-7 --L 8 --d-c 0 --trials 1000 --seed 5",
      MC_HEADER + "\n"
      "Q,3.999999999999997e-16,0.0,0.0,-6.324555320336757e-07\n"
@@ -530,13 +542,13 @@ REFERENCE_ROWS = [
      "mc-validate --mu 0.01 --eta 0.1 --L 8 --M 20 --d-c 0 --detector threshold --trials 3000"
      " --seed 6",
      MC_HEADER + "\n"
-     "Q,0.07363278737763561,0.07833333333333334,0.004905684533349116,0.9581834958491842\n"
-     "e_bit,0.03,0.029787234042553193,0.011089568556472886,-0.01918613482240627\n"),
+     "Q,0.07363278737763561,0.07833333333333334,0.004905684533349116,0.985783902721115\n"
+     "e_bit,0.03,0.029787234042553193,0.011089568556472886,-0.01912007443688902\n"),
     ("mc-beamdump-no-dark",
      "mc-validate --mu 0.05 --eta 0.3 --L 8 --M 4 --d-c 0 --detector threshold --mode beamdump"
      " --trials 20000 --seed 7",
      MC_HEADER + "\n"
-     "e_mB,0.021528057712758356,0.0216,0.0029354168358173595,0.024508371814122076\n"),
+     "e_mB,0.021528057712758356,0.0216,0.0029354168358173595,0.024549177915716994\n"),
     ("attack-default", "attack --trials 200000 --seed 11",
      ATTACK_HEADER + "\n"
      "0.99,100,10000,99,1,200000,0.0036972963764972675,0.003625,0.00013438488335746696,9802.36781,"

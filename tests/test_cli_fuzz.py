@@ -42,7 +42,7 @@ VALUES = {
     "eta_min": ([1e-7, 1e-3, 0.1, 1.0], [0.0, -1.0, 2.0, math.nan, math.inf]),
     "eta_max": ([1e-3, 0.1, 1.0], [0.0, -1.0, 2.0, math.nan, math.inf]),
     "eta_points": ([1, 2, 3, 2.0], [0, -1]),
-    "points_per_decade": ([1, 2, 4], [0, -1]),
+    "points_per_decade": ([1, 2, 4], [0, -1, 10_923]),  # 10,923: a mu row past _GRID_CELLS
     "M_list": (None, ["1,10", "", ",", "1,x", 5, None, [0], [10, -3], [10**400], [2.5]]),
 }
 VALUES["M_candidates"] = VALUES["M_list"]

@@ -9,7 +9,6 @@ asserted separately with the O(lambda) gap made explicit.
 import math
 import sys
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from slowqkd.montecarlo import (
     _beamdump_events, _chunk, _sift_beamdump, _sift_standard, _standard_events,
 )
 
-from oracles import exact_Q_pnr, exact_ebit_pnr, replay_beamdump, replay_standard
+from oracles import exact_Q_pnr, exact_ebit_pnr, replay_beamdump, replay_standard, z_score
 
 # collision-rich parameters so the replay exercises multi-event blocks,
 # dead-time shadowing and dark/photon coincidences
@@ -69,7 +68,7 @@ def test_sift_standard_matches_replay(p):
     rng = substream(1234, (0,))
     ev = _standard_events(p, rng, 400)
     _check_first_clicks_spread(p, (ev["ev0"] + ev["ev1"]).any(axis=2))
-    accepted, errored, _ = _sift_standard(p, ev)
+    accepted, errored = _sift_standard(p, ev)
     for i in range(400):
         want = replay_standard(p, ev, i)
         assert (bool(accepted[i]), bool(errored[i])) == want, f"sequence {i}"
@@ -83,7 +82,7 @@ def test_sift_beamdump_matches_replay():
         rng = substream(99, (0,))
         ev = _beamdump_events(p, rng, 400)
         _check_first_clicks_spread(p, (ev["ev_a"] | ev["ev_b"]).any(axis=2))
-        double, _ = _sift_beamdump(ev)
+        double = _sift_beamdump(ev)
         for i in range(400):
             assert bool(double[i]) == replay_beamdump(p, ev, i), (p.M, f"sequence {i}")
 
@@ -117,8 +116,8 @@ def test_chunk_schedule_partitions_trials():
 
 
 def _one_draw(*, rng, count):
-    """A trivial chunk: its count, one draw and a one-entry histogram."""
-    return count, int(rng.integers(2**32)), Counter({count: 1})
+    """A trivial chunk: its count and one draw."""
+    return count, int(rng.integers(2**32))
 
 
 def test_seeded_chunks_memory_stays_flat_in_the_chunk_count(monkeypatch):
@@ -130,11 +129,11 @@ def test_seeded_chunks_memory_stays_flat_in_the_chunk_count(monkeypatch):
     for chunks in (1_000, 20_000):
         tracemalloc.start()
         try:
-            count, _, hist = seeded_chunks(_one_draw, (), 3, chunks, CHUNK_ELEMENTS)
+            count, _ = seeded_chunks(_one_draw, (), 3, chunks, CHUNK_ELEMENTS)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert count == chunks and hist == {1: chunks}
+        assert count == chunks
     assert peaks[1] - peaks[0] < 64 * 1024, peaks
 
 
@@ -191,28 +190,26 @@ def test_config_validation():
 # statistics against the exact event model
 
 
-def _z(k, n, p_true):
-    se = binomial_stderr(k, n)
-    return (k / n - p_true) / se if se > 0 else math.inf
-
-
 def test_detection_rate_exact_ztest_pnr():
     p = ProtocolParams(mu=0.01, nu_th=0, eta=0.05, M=1, L=8, d_c=0.0)
     stats = simulate(McConfig(params=p, trials=1_000_000, seed=11))
-    assert abs(_z(stats.detected, stats.sequences, exact_Q_pnr(p))) <= 3.0
+    q = exact_Q_pnr(p)
+    assert abs(z_score(stats.detected, stats.sequences, q, q * (1 - q))) <= 3.0
 
 
 def test_detection_rate_exact_ztest_multiblock():
     p = ProtocolParams(mu=0.02, nu_th=0, eta=0.05, M=4, L=8, d_c=0.0)
     stats = simulate(McConfig(params=p, trials=1_000_000, seed=12))
-    assert abs(_z(stats.detected, stats.sequences, exact_Q_pnr(p))) <= 3.0
+    q = exact_Q_pnr(p)
+    assert abs(z_score(stats.detected, stats.sequences, q, q * (1 - q))) <= 3.0
 
 
 def test_bit_error_rate_exact_ztest():
     p = ProtocolParams(mu=0.02, nu_th=0, eta=0.05, M=4, L=8, d_c=0.0, e_sys=0.03)
     stats = simulate(McConfig(params=p, trials=1_000_000, seed=13))
     assert stats.detected > 1000
-    assert abs(_z(stats.bit_errors, stats.detected, exact_ebit_pnr(p))) <= 3.0
+    e = exact_ebit_pnr(p)
+    assert abs(z_score(stats.bit_errors, stats.detected, e, e * (1 - e))) <= 3.0
 
 
 def test_leading_order_rate_sits_below_exact_by_o_lambda():
@@ -235,10 +232,11 @@ def test_dark_only_detection_rate():
     # analytic L*d_c rate is nearly exact
     p = ProtocolParams(mu=0.0, nu_th=0, eta=0.5, M=1, L=16, d_c=1e-4)
     stats = simulate(McConfig(params=p, trials=1_000_000, seed=21))
-    assert abs(_z(stats.detected, stats.sequences, exact_Q_pnr(p))) <= 3.0
+    q = exact_Q_pnr(p)
+    assert abs(z_score(stats.detected, stats.sequences, q, q * (1 - q))) <= 3.0
     assert detection_rate_Q(p) == pytest.approx(16 * 1e-4, rel=1e-3)
     # dark clicks land on a uniformly random detector: error rate 1/2
-    assert abs(_z(stats.bit_errors, stats.detected, 0.5)) <= 3.0
+    assert abs(z_score(stats.bit_errors, stats.detected, 0.5, 0.25)) <= 3.0
 
 
 def test_threshold_matches_pnr_in_sparse_regime():
@@ -253,7 +251,8 @@ def test_threshold_matches_pnr_in_sparse_regime():
         )
     )
     p_pnr = ProtocolParams(detector=Detector.PNR, **kw)
-    assert abs(_z(s_thr.detected, s_thr.sequences, exact_Q_pnr(p_pnr))) <= 3.5
+    q = exact_Q_pnr(p_pnr)
+    assert abs(z_score(s_thr.detected, s_thr.sequences, q, q * (1 - q))) <= 3.5
 
 
 def test_compare_to_analytic_rows_and_zscores():
@@ -267,24 +266,25 @@ def test_compare_to_analytic_rows_and_zscores():
 
 def test_z_of_a_zero_count_uses_the_model_stderr():
     """No double count among 2e5 sequences, where the model expects 0.05: the
-    Wald stderr is 0, so z divides by 8 sqrt(a(1-a)/n) at a = e_mB/8 and
-    reads a small miss, not -inf.  The stderr column stays Wald's."""
+    Wald stderr is 0, but the score z divides by the model's spread
+    sqrt(n a(1-a)) at a = e_mB/8 and reads a small miss, not -inf.  The
+    stderr column stays Wald's."""
     p = ProtocolParams(mu=0.005, nu_th=0, eta=0.05, M=1, L=8, detector=Detector.THRESHOLD)
     cfg = McConfig(params=p, trials=200_000, seed=1, mode=McMode.BEAM_DUMP)
     (row,) = compare_to_analytic(cfg)
     assert row.empirical == row.stderr == 0.0
     a = row.analytic / 8.0
-    assert row.z == -row.analytic / (8.0 * math.sqrt(a * (1.0 - a) / cfg.trials))
+    assert row.z == -cfg.trials * a / math.sqrt(cfg.trials * a * (1.0 - a))
     assert -1.0 < row.z < 0.0
 
 
 @pytest.mark.parametrize("k,n,scale,analytic,z", [
-    (20, 100, 1.0, 0.1, (0.2 - 0.1) / binomial_stderr(20, 100)),  # Wald's stderr > 0: as is
+    (19, 100, 1.0, 0.1, 3.0),  # (19 - 10) / sqrt(100 * 0.1 * 0.9), whatever Wald's stderr
     (0, 100, 1.0, 0.0, 0.0),  # the model expects no events either
     (100, 100, 1.0, 1.0, 0.0),
-    (100, 100, 8.0, 0.0, math.inf),  # analytic 0 or 1: the model has no stderr either
+    (100, 100, 8.0, 0.0, math.inf),  # analytic 0 or 1: the model has no spread
     (0, 100, 8.0, 8.0, -math.inf),
-    (12, 12, 1.0, 0.75, 0.25 / math.sqrt(0.75 * 0.25 / 12)),  # every trial an event
+    (12, 12, 1.0, 0.75, 2.0),  # every trial an event: (12 - 9) / sqrt(12 * 0.75 * 0.25)
     (0, 0, 1.0, 0.03, math.nan),  # e_bit without detections
 ])
 def test_comparison_z_branches(k, n, scale, analytic, z):
@@ -314,7 +314,7 @@ def test_beamdump_conditional_double_count_bound():
     assert cond >= 1.0 / 8.0 - 3.0 * se
     rate_mp = stats.multi_photon_blocks / stats.sequences
     se_mp = binomial_stderr(stats.multi_photon_blocks, stats.sequences)
-    assert 8.0 * stats.double_count_rate() >= rate_mp - 5.0 * se_mp
+    assert 8.0 * stats.double_counts / stats.sequences >= rate_mp - 5.0 * se_mp
 
 
 def test_beamdump_dark_counts_only():
@@ -331,7 +331,7 @@ def test_beamdump_dark_counts_only():
     # M=2: both first clicks in block 0 or both in block 1
     silent = (1.0 - per_det) ** 2  # neither clicks in a given block... approx
     expect = both_same_block * (1.0 + silent)
-    assert stats.double_count_rate() == pytest.approx(expect, rel=0.1)
+    assert stats.double_counts / stats.sequences == pytest.approx(expect, rel=0.1)
 
 
 def test_beamdump_comparison_row():
@@ -349,29 +349,6 @@ def test_beamdump_comparison_row():
 # bookkeeping
 
 
-def test_clicks_histogram_totals():
-    cfg = McConfig(
-        params=ProtocolParams(mu=0.3, nu_th=0, eta=0.5, M=2, L=4, d_c=1e-3,
-                              detector=Detector.THRESHOLD),
-        trials=20_000,
-        seed=61,
-    )
-    stats = simulate(cfg)
-    assert sum(stats.clicks_histogram.values()) == cfg.trials
-    assert set(stats.clicks_histogram) <= {0, 1, 2}
-
-
-def test_clicks_histogram_counts_events_for_pnr():
-    cfg = McConfig(
-        params=ProtocolParams(mu=0.5, nu_th=0, eta=0.9, M=2, L=4, d_c=0.0),
-        trials=20_000,
-        seed=62,
-    )
-    stats = simulate(cfg)
-    assert sum(stats.clicks_histogram.values()) == cfg.trials
-    assert max(stats.clicks_histogram) > 2  # photon-number resolution visible
-
-
 def test_stats_helper_formulas():
     cfg = McConfig(
         params=ProtocolParams(mu=0.05, nu_th=0, eta=0.2, M=1, L=8, d_c=0.0),
@@ -379,23 +356,25 @@ def test_stats_helper_formulas():
         seed=63,
     )
     stats = simulate(cfg)
-    assert stats.detection_rate() == stats.detected / stats.sequences
-    assert stats.detection_stderr() == pytest.approx(
-        math.sqrt(
-            stats.detection_rate() * (1 - stats.detection_rate()) / stats.sequences
-        )
-    )
+    assert stats.sequences == cfg.trials
+    assert 0 < stats.bit_errors <= stats.detected < stats.sequences
+    assert stats.double_counts == 0  # a beam-dump counter, not filled in standard mode
+    q, e_bit = compare_to_analytic(cfg)
+    rate = stats.detected / stats.sequences
+    assert q.empirical == rate
+    assert q.stderr == binomial_stderr(stats.detected, stats.sequences)
+    assert q.stderr == pytest.approx(math.sqrt(rate * (1 - rate) / stats.sequences))
+    assert e_bit.empirical == stats.bit_errors / stats.detected
     assert binomial_stderr(0, 100) == 0.0
     assert math.isnan(binomial_stderr(1, 0))
 
 
 def test_bit_error_rate_is_nan_without_detections():
-    # no sequence detected: the rate is undefined, like its standard error
+    # no sequence detected: the rate is undefined, like its standard error and z
     cfg = McConfig(params=ProtocolParams(mu=1e-9, nu_th=0, eta=1e-7, L=8, d_c=0.0),
                    trials=1000, seed=5)
-    stats = simulate(cfg)
-    assert stats.detected == 0
-    assert math.isnan(stats.bit_error_rate())
-    assert math.isnan(stats.bit_error_stderr())
+    assert simulate(cfg).detected == 0
     e_bit = next(row for row in compare_to_analytic(cfg) if row.quantity == "e_bit")
     assert math.isnan(e_bit.empirical)
+    assert math.isnan(e_bit.stderr)
+    assert math.isnan(e_bit.z)

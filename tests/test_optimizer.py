@@ -3,6 +3,7 @@
 import math
 import operator
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
 from unittest.mock import patch
@@ -406,6 +407,15 @@ def test_small_sweep_starts_no_pool(two_workers):
     assert pools == []
 
 
+def test_a_slow_first_task_alone_starts_no_pool(two_workers):
+    # the first task may build the process's caches, so the gate times the
+    # second: timing a 50 ms first task, 40 * 0.05 s * (1 - 1/2) = 1 s would
+    # pass WORKER_START_S, though the forty tasks after it take no time
+    with two_workers(gated=True) as pools:
+        assert list(fan_out(time.sleep, [(0.05,), *[(0.0,)] * 40], 41)) == [None] * 41
+    assert pools == []
+
+
 def test_curve_spec_validation():
     with pytest.raises(ValueError):
         CurveSpec(base=BASE, eta_grid=(), M_values=(1,))
@@ -469,6 +479,6 @@ def test_fan_out_keeps_task_order_in_a_pool(monkeypatch, two_workers):
     tasks = [(float(i), 3.0) for i in range(9)]
     with two_workers():  # one task per batch
         assert list(fan_out(math.pow, tasks, 9)) == [math.pow(*t) for t in tasks]
-    with two_workers(), monkeypatch.context() as m:  # the eight after the first in one batch
+    with two_workers(), monkeypatch.context() as m:  # the seven after the first two in one batch
         m.setattr(_env, "BATCH_S", 1.0)
         assert list(fan_out(math.pow, tasks, 9)) == [math.pow(*t) for t in tasks]
