@@ -23,11 +23,20 @@ on that block, found by ``_first_block``.
   double count is recorded when both detectors click in the first clicked
   block, that is when their first clicks fall in the same block.
 
-Trials are vectorized in chunks of at most ``CHUNK_ELEMENTS`` pulse slots
-(one sequence when M*L is larger) by ``_env.seeded_chunks``, the driver the
-attack study shares; chunk i draws from substream (seed, (i,)), so the
+Trials run in chunks of at most ``CHUNK_ELEMENTS`` pulse slots (one
+sequence when M*L is larger), driven by ``_env.seeded_chunks``, the driver
+the attack study shares; chunk i draws from substream (seed, (i,)), so the
 statistics are a pure function of the configuration and do not depend on
-scheduling or worker count (QKD_THREADS).
+scheduling or worker count (QKD_THREADS).  A chunk's draws, in order:
+Poisson emissions, the eta thinning and the mode's photon splits (valid
+slot and error, or the two beam-dump detectors), then the standard mode's
+correct detector, dark counts and dark detector, or the beam dump's two
+dark counts.  The Poisson, every uniform ``random`` and both
+``integers(0, 2)`` take a value at every slot; each binomial runs over the
+slots with photons only, as numpy's binomial draws nothing at n = 0.  The
+sifts then work on a list of the slots that hold an event, through (count,
+M) per-block sums, so a chunk's work beyond those full-size draws grows
+with its events, not its slots.
 """
 
 from __future__ import annotations
@@ -114,56 +123,23 @@ def binomial_stderr(k: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# event generation
+# events and sifting: a chunk's slots are numbered in C order over (sequence, block, pulse)
 
 
-def _arrivals(p: ProtocolParams, rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Photons reaching Bob per slot: Poisson(mu) emitted, each kept with probability eta."""
-    return rng.binomial(rng.poisson(p.mu, shape), p.eta)
+def _arrivals(p: ProtocolParams, rng: np.random.Generator,
+              size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending slots that photons reach Bob in, and how many reach him
+    in each: Poisson(mu) emitted per slot, each kept with probability eta."""
+    emitted = rng.poisson(p.mu, size)
+    slots = np.flatnonzero(emitted)
+    n_bob = rng.binomial(emitted[slots], p.eta)
+    return slots[n_bob > 0], n_bob[n_bob > 0]
 
 
-def _standard_events(p: ProtocolParams, rng: np.random.Generator, count: int) -> dict:
-    """Per-slot event arrays for ``count`` sequences of the standard chain.
-
-    ev0/ev1 hold the number of events (valid photons + dark counts) per
-    slot on each physical detector; correct_det says which detector
-    encodes Alice's bit for that slot; n_bob is the pre-interferometer
-    photon number per pulse (ground truth for multi-photon accounting).
-    Dark counts are the chunk's last draws, made at any d_c (at 0 all False).
-    """
-    shape = (count, p.M, p.L)
-    n_bob = _arrivals(p, rng, shape)
-    n_valid = rng.binomial(n_bob, 0.5)
-    n_wrong = rng.binomial(n_valid, p.e_sys)  # draws nothing at e_sys = 0
-    n_right = n_valid - n_wrong
-    correct_det = rng.integers(0, 2, shape)
-    dark = rng.random(shape) < p.d_c
-    dark_det = rng.integers(0, 2, shape)
-    ev0 = np.where(correct_det == 0, n_right, n_wrong) + (dark & (dark_det == 0))
-    ev1 = np.where(correct_det == 0, n_wrong, n_right) + (dark & (dark_det == 1))
-    return {"ev0": ev0, "ev1": ev1, "correct_det": correct_det, "n_bob": n_bob}
-
-
-def _beamdump_events(p: ProtocolParams, rng: np.random.Generator, count: int) -> dict:
-    """Per-slot click arrays for the beam-dump diagnostic.
-
-    Each arriving photon is absorbed with probability 1/2 and otherwise
-    routed to one of the two detectors with probability 1/4 each; one
-    dark-count opportunity per slot and per detector, drawn last at any d_c.
-    """
-    shape = (count, p.M, p.L)
-    n_bob = _arrivals(p, rng, shape)
-    to_a = rng.binomial(n_bob, 0.25)
-    to_b = rng.binomial(n_bob - to_a, 1.0 / 3.0)
-    return {
-        "ev_a": (to_a > 0) | (rng.random(shape) < p.d_c),
-        "ev_b": (to_b > 0) | (rng.random(shape) < p.d_c),
-        "n_bob": n_bob,
-    }
-
-
-# ---------------------------------------------------------------------------
-# sifting
+def _block_sums(p: ProtocolParams, count: int, slots: np.ndarray, weights=None) -> np.ndarray:
+    """The (count, M) sums of ``weights`` (1 each by default) over the blocks
+    of ``slots``: slot s lies in block s // L of the chunk's count*M."""
+    return np.bincount(slots // p.L, weights, minlength=count * p.M).reshape(count, p.M)
 
 
 def _first_block(clicked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,41 +149,65 @@ def _first_block(clicked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(len(clicked)), clicked.argmax(axis=1)
 
 
-def _sift_standard(p: ProtocolParams, ev: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the sifting rule to standard-mode events.
+def _sift_standard(p: ProtocolParams, rng: np.random.Generator, count: int,
+                   slots: np.ndarray, n_bob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the rest of the standard chain over the arrivals and sift it: the
+    per-sequence masks (accepted, errored).
 
-    Returns the per-sequence sift masks (accepted, errored), which tests
-    replay sequence by sequence.  PNR keeps the first clicked block if it
+    Each arriving photon reaches a valid slot with probability 1/2 and the
+    detector of Alice's bit with probability 1 - e_sys; one dark count per
+    slot fires with probability d_c on a uniformly random detector.  The
+    right photons, wrong photons and dark counts of a slot are one entry
+    each where they hold events.  PNR keeps the first clicked block if it
     holds one count; threshold if one detector clicks in it, and reads the
     bit from that detector's first slot there (no detector clicked earlier,
     so that slot is its first click).
     """
-    ev0, ev1, correct_det = ev["ev0"], ev["ev1"], ev["correct_det"]
-
+    size = count * p.M * p.L
+    n_valid = rng.binomial(n_bob, 0.5)
+    n_wrong = rng.binomial(n_valid, p.e_sys)  # draws nothing at e_sys = 0
+    correct_det = rng.integers(0, 2, size) == 1
+    dark = np.flatnonzero(rng.random(size) < p.d_c)
+    dark_wrong = (rng.integers(0, 2, size)[dark] == 1) != correct_det[dark]
+    slot = np.concatenate((slots, slots, dark))
+    n = np.concatenate((n_valid - n_wrong, n_wrong, np.ones(len(dark), np.int64)))
+    wrong = np.concatenate((np.zeros(len(slots), bool), np.ones(len(slots), bool), dark_wrong))
+    held = n > 0
+    slot, n, wrong = slot[held], n[held], wrong[held]
     if p.detector is Detector.PNR:
-        block_counts = (ev0 + ev1).sum(axis=2)
-        first = _first_block(block_counts > 0)
-        accepted = block_counts[first] == 1
-        wrong_counts = np.where(correct_det == 0, ev1, ev0).sum(axis=2)
-        errored = accepted & (wrong_counts[first] == 1)
-    else:
-        c0, c1 = ev0 > 0, ev1 > 0
-        k0, k1 = c0.any(axis=2), c1.any(axis=2)  # the blocks each detector clicks in
-        first = _first_block(k0 | k1)
-        in0 = k0[first]
-        accepted = in0 ^ k1[first]
-        slot = (c0[first] | c1[first]).argmax(axis=1)  # where accepted, the partner is silent
-        errored = accepted & (correct_det[(*first, slot)] != np.where(in0, 0, 1))
-    return accepted, errored
+        counts = _block_sums(p, count, slot, n)
+        first = _first_block(counts > 0)
+        accepted = counts[first] == 1
+        return accepted, accepted & (_block_sums(p, count, slot[wrong], n[wrong])[first] == 1)
+    on1 = correct_det[slot] != wrong  # the detector an entry's events land on
+    k0, k1 = _block_sums(p, count, slot[~on1]) > 0, _block_sums(p, count, slot[on1]) > 0
+    first = _first_block(k0 | k1)
+    accepted = k0[first] ^ k1[first]
+    # a block's least 2 slot + wrong marks its first slot and, where the block
+    # is accepted (that slot's entries all on one detector), whether they are wrong
+    lead = np.full(count * p.M, 2 * size)
+    np.minimum.at(lead, slot // p.L, 2 * slot + wrong)
+    return accepted, accepted & (lead.reshape(count, p.M)[first] % 2 == 1)
 
 
-def _sift_beamdump(ev: dict) -> np.ndarray:
-    """Double-count bookkeeping for beam-dump events: the per-sequence double mask.
+def _sift_beamdump(p: ProtocolParams, rng: np.random.Generator, count: int,
+                   slots: np.ndarray, n_bob: np.ndarray) -> np.ndarray:
+    """Draw the rest of the beam-dump diagnostic over the arrivals and sift
+    it: the per-sequence double mask.
 
-    A detector's first click is unaffected by the partner's dead time, so
-    a double count is a first clicked block in which both detectors click.
+    Each arriving photon is absorbed with probability 1/2 and otherwise
+    routed to one of the two detectors with probability 1/4 each; one
+    dark-count opportunity per slot and per detector.  A detector's first
+    click is unaffected by the partner's dead time, so a double count is a
+    first clicked block in which both detectors click.
     """
-    a, b = ev["ev_a"].any(axis=2), ev["ev_b"].any(axis=2)
+    size = count * p.M * p.L
+    to_a = rng.binomial(n_bob, 0.25)
+    to_b = rng.binomial(n_bob - to_a, 1.0 / 3.0)
+    dark_a = np.flatnonzero(rng.random(size) < p.d_c)
+    dark_b = np.flatnonzero(rng.random(size) < p.d_c)
+    a = _block_sums(p, count, np.append(slots[to_a > 0], dark_a)) > 0
+    b = _block_sums(p, count, np.append(slots[to_b > 0], dark_b)) > 0
     first = _first_block(a | b)
     return a[first] & b[first]
 
@@ -220,14 +220,13 @@ def _chunk(p: ProtocolParams, mode: McMode, *, rng: np.random.Generator, count: 
     """The counters of ``count`` sequences, in ``McStats`` field order: the
     sift's own counts, then the ground-truth multi-photon counters that both
     modes share."""
+    slots, n_bob = _arrivals(p, rng, count * p.M * p.L)
     accepted = errored = double = ()  # a mode's sift makes only its own masks; the rest count 0
     if mode is McMode.STANDARD:
-        ev = _standard_events(p, rng, count)
-        accepted, errored = _sift_standard(p, ev)
+        accepted, errored = _sift_standard(p, rng, count, slots, n_bob)
     else:
-        ev = _beamdump_events(p, rng, count)
-        double = _sift_beamdump(ev)
-    multi = ev["n_bob"].sum(axis=2) >= 2
+        double = _sift_beamdump(p, rng, count, slots, n_bob)
+    multi = _block_sums(p, count, slots, n_bob) >= 2
     return (
         count,
         *(int(np.count_nonzero(mask)) for mask in (accepted, errored, double)),

@@ -2,9 +2,10 @@
 
 Everything here is deliberately brute force: arbitrary-precision tail
 sums, explicit geometric series, exhaustive grid searches, pure Python
-sequence-by-sequence replays of the Monte Carlo sifting rules, a
-pulse-by-pulse replay of the intercept-resend attack, and a
-sequence-by-sequence draw of the honest channel.
+sequence-by-sequence replays of the Monte Carlo sifting rules, the dense
+Monte Carlo engine that sifts every slot, a pulse-by-pulse replay of the
+intercept-resend attack, and a sequence-by-sequence draw of the honest
+channel.
 The package must agree with these, not the other way around.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import mpmath as mp
 import numpy as np
 
-from slowqkd import AttackScenario, Detector, HonestStats, ProtocolParams, key_rate, mu_grid
+from slowqkd import AttackScenario, Detector, HonestStats, McMode, ProtocolParams, key_rate, mu_grid
 from slowqkd.keyrate import rate_grid
 
 
@@ -263,6 +264,118 @@ def scan_every_nu_optimum(
     if best[0] <= 0.0:
         return (0.0, grid[0], 0)
     return best
+
+
+# ---------------------------------------------------------------------------
+# the dense Monte Carlo engine: the reference for the package's event list
+#
+# It draws the chunk's values as (count, M, L) arrays, every slot at every
+# step, and sifts them whole.  The package takes the same draws from the same
+# substream but sifts only the slots that hold an event, so ``dense_chunk``
+# must return exactly what ``montecarlo._chunk`` returns.
+
+
+def _dense_arrivals(p: ProtocolParams, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Photons reaching Bob per slot: Poisson(mu) emitted, each kept with probability eta."""
+    return rng.binomial(rng.poisson(p.mu, shape), p.eta)
+
+
+def standard_events(p: ProtocolParams, rng: np.random.Generator, count: int) -> dict:
+    """Per-slot event arrays for ``count`` sequences of the standard chain.
+
+    ev0/ev1 hold the number of events (valid photons + dark counts) per
+    slot on each physical detector; correct_det says which detector
+    encodes Alice's bit for that slot; n_bob is the pre-interferometer
+    photon number per pulse (ground truth for multi-photon accounting).
+    Dark counts are the chunk's last draws, made at any d_c (at 0 all False).
+    """
+    shape = (count, p.M, p.L)
+    n_bob = _dense_arrivals(p, rng, shape)
+    n_valid = rng.binomial(n_bob, 0.5)
+    n_wrong = rng.binomial(n_valid, p.e_sys)  # draws nothing at e_sys = 0
+    n_right = n_valid - n_wrong
+    correct_det = rng.integers(0, 2, shape)
+    dark = rng.random(shape) < p.d_c
+    dark_det = rng.integers(0, 2, shape)
+    ev0 = np.where(correct_det == 0, n_right, n_wrong) + (dark & (dark_det == 0))
+    ev1 = np.where(correct_det == 0, n_wrong, n_right) + (dark & (dark_det == 1))
+    return {"ev0": ev0, "ev1": ev1, "correct_det": correct_det, "n_bob": n_bob}
+
+
+def beamdump_events(p: ProtocolParams, rng: np.random.Generator, count: int) -> dict:
+    """Per-slot click arrays for the beam-dump diagnostic.
+
+    Each arriving photon is absorbed with probability 1/2 and otherwise
+    routed to one of the two detectors with probability 1/4 each; one
+    dark-count opportunity per slot and per detector, drawn last at any d_c.
+    """
+    shape = (count, p.M, p.L)
+    n_bob = _dense_arrivals(p, rng, shape)
+    to_a = rng.binomial(n_bob, 0.25)
+    to_b = rng.binomial(n_bob - to_a, 1.0 / 3.0)
+    return {
+        "ev_a": (to_a > 0) | (rng.random(shape) < p.d_c),
+        "ev_b": (to_b > 0) | (rng.random(shape) < p.d_c),
+        "n_bob": n_bob,
+    }
+
+
+def _dense_first_block(clicked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, blocks) index of each sequence's first clicked block in a
+    (count, M) mask; block 0 for a silent sequence."""
+    return np.arange(len(clicked)), clicked.argmax(axis=1)
+
+
+def sift_standard(p: ProtocolParams, ev: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The per-sequence sift masks (accepted, errored) of ``standard_events``.
+
+    PNR keeps the first clicked block if it holds one count; threshold if
+    one detector clicks in it, and reads the bit from that detector's first
+    slot there.
+    """
+    ev0, ev1, correct_det = ev["ev0"], ev["ev1"], ev["correct_det"]
+
+    if p.detector is Detector.PNR:
+        block_counts = (ev0 + ev1).sum(axis=2)
+        first = _dense_first_block(block_counts > 0)
+        accepted = block_counts[first] == 1
+        wrong_counts = np.where(correct_det == 0, ev1, ev0).sum(axis=2)
+        errored = accepted & (wrong_counts[first] == 1)
+    else:
+        c0, c1 = ev0 > 0, ev1 > 0
+        k0, k1 = c0.any(axis=2), c1.any(axis=2)  # the blocks each detector clicks in
+        first = _dense_first_block(k0 | k1)
+        in0 = k0[first]
+        accepted = in0 ^ k1[first]
+        slot = (c0[first] | c1[first]).argmax(axis=1)  # where accepted, the partner is silent
+        errored = accepted & (correct_det[(*first, slot)] != np.where(in0, 0, 1))
+    return accepted, errored
+
+
+def sift_beamdump(ev: dict) -> np.ndarray:
+    """The per-sequence double mask of ``beamdump_events``: both detectors
+    click in the first clicked block."""
+    a, b = ev["ev_a"].any(axis=2), ev["ev_b"].any(axis=2)
+    first = _dense_first_block(a | b)
+    return a[first] & b[first]
+
+
+def dense_chunk(p: ProtocolParams, mode: McMode, *, rng: np.random.Generator, count: int) -> tuple:
+    """The ``McStats`` counters of ``count`` sequences, from the dense arrays."""
+    accepted = errored = double = ()
+    if mode is McMode.STANDARD:
+        ev = standard_events(p, rng, count)
+        accepted, errored = sift_standard(p, ev)
+    else:
+        ev = beamdump_events(p, rng, count)
+        double = sift_beamdump(ev)
+    multi = ev["n_bob"].sum(axis=2) >= 2
+    return (
+        count,
+        *(int(np.count_nonzero(mask)) for mask in (accepted, errored, double)),
+        int(multi.sum()),
+        int(multi.any(axis=1).sum()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Each test here checks one deliverable property of the package at its stated
 tolerance, so ``pytest -v tests/test_acceptance.py`` prints a pass/fail line
 per item.  The curve tests re-optimize a few hundred grid points and the
 Monte Carlo test runs 10^7 sequences, so the whole module takes about
-63 s on one worker (2 shared vCPUs), 59 s of it in test_07 and 0.2 s in
+18 s on one worker (2 shared vCPUs), 16 s of it in test_07 and 0.2 s in
 test_08; QKD_THREADS can spread that Monte Carlo run over a process pool.
 
 Items 3a and 4 check curve shapes of the optimized rate.  Each asserts

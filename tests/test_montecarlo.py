@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slowqkd import (
     Detector,
@@ -26,11 +28,13 @@ from slowqkd import (
 )
 from slowqkd import montecarlo
 from slowqkd._env import CHUNK_ELEMENTS, chunk_schedule, seeded_chunks, substream
-from slowqkd.montecarlo import (
-    _beamdump_events, _chunk, _sift_beamdump, _sift_standard, _standard_events,
-)
+from slowqkd.keyrate import _clicks_fit
+from slowqkd.montecarlo import _chunk
 
-from oracles import exact_Q_pnr, exact_ebit_pnr, replay_beamdump, replay_standard, z_score
+from oracles import (
+    beamdump_events, dense_chunk, exact_Q_pnr, exact_ebit_pnr, replay_beamdump, replay_standard,
+    sift_beamdump, sift_standard, standard_events, z_score,
+)
 
 # collision-rich parameters so the replay exercises multi-event blocks,
 # dead-time shadowing and dark/photon coincidences
@@ -44,7 +48,7 @@ BUSY_THR = ProtocolParams(
 
 
 # ---------------------------------------------------------------------------
-# vectorized sift vs pure-Python replay
+# dense sift vs pure-Python replay, and the event list vs the dense engine
 
 
 # sparse parameters, L*eta*mu = 0.1 in each of M = 20 blocks: many sequences click first
@@ -66,9 +70,9 @@ def _check_first_clicks_spread(p, clicked):
                          ids=["pnr", "threshold", "sparse-pnr", "sparse-threshold"])
 def test_sift_standard_matches_replay(p):
     rng = substream(1234, (0,))
-    ev = _standard_events(p, rng, 400)
+    ev = standard_events(p, rng, 400)
     _check_first_clicks_spread(p, (ev["ev0"] + ev["ev1"]).any(axis=2))
-    accepted, errored = _sift_standard(p, ev)
+    accepted, errored = sift_standard(p, ev)
     for i in range(400):
         want = replay_standard(p, ev, i)
         assert (bool(accepted[i]), bool(errored[i])) == want, f"sequence {i}"
@@ -80,19 +84,100 @@ def test_sift_beamdump_matches_replay():
     )
     for p in (busy, SPARSE_THR):
         rng = substream(99, (0,))
-        ev = _beamdump_events(p, rng, 400)
+        ev = beamdump_events(p, rng, 400)
         _check_first_clicks_spread(p, (ev["ev_a"] | ev["ev_b"]).any(axis=2))
-        double = _sift_beamdump(ev)
+        double = sift_beamdump(ev)
         for i in range(400):
             assert bool(double[i]) == replay_beamdump(p, ev, i), (p.M, f"sequence {i}")
 
 
 def test_multi_photon_counters_follow_ground_truth():
-    ev = _standard_events(BUSY_PNR, substream(5, (0,)), 300)
+    ev = standard_events(BUSY_PNR, substream(5, (0,)), 300)
     counts = McStats(*_chunk(BUSY_PNR, McMode.STANDARD, rng=substream(5, (0,)), count=300))
     per_block = ev["n_bob"].sum(axis=2)
     assert counts.multi_photon_blocks == int((per_block >= 2).sum())
     assert counts.multi_photon_sequences == int((per_block >= 2).any(axis=1).sum())
+
+
+def _dark_edge(L):
+    """The largest d_c that ProtocolParams accepts at this L (bisection on _clicks_fit)."""
+    lo, hi = 0.25 / L, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _clicks_fit(L, mid) else (lo, mid)
+    return lo
+
+
+@st.composite
+def _chunk_configs(draw):
+    """(params, mode): L in [2, 16] or 128, M in [1, 30] or 1000, lambda = L eta mu
+    from 1e-4 to 3, eta = 1 among others, d_c from 0 to the edge ProtocolParams allows."""
+    L = draw(st.one_of(st.integers(2, 16), st.just(128)))
+    eta = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+    mode = draw(st.sampled_from(McMode))
+    detector = Detector.THRESHOLD if mode is McMode.BEAM_DUMP else draw(st.sampled_from(Detector))
+    p = ProtocolParams(
+        mu=10.0 ** draw(st.floats(-4.0, math.log10(3.0))) / (L * eta), nu_th=0, eta=eta,
+        M=draw(st.one_of(st.integers(1, 30), st.just(1000))), L=L,
+        e_sys=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        d_c=draw(st.one_of(st.just(0.0), st.floats(0.0, _dark_edge(L)))), detector=detector)
+    return p, mode
+
+
+def _workload_point(lam, eta, M, detector, mode=McMode.STANDARD):
+    """A point of the mc_sparse or mc_busy benchmark workloads (L = 128, e_sys = 0.03, d_c = 1e-9)."""
+    p = ProtocolParams(mu=lam / (128 * eta), nu_th=0, eta=eta, M=M, L=128, e_sys=0.03, d_c=1e-9,
+                       detector=detector)
+    return p, mode
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_chunk_configs(), count=st.one_of(st.just(1), st.integers(1, 64)),
+       seed=st.integers(0, 2**32))
+@example(config=_workload_point(1e-3, 1e-2, 100, Detector.PNR), count=78, seed=1)
+@example(config=_workload_point(1.2e-3, 0.1, 1000, Detector.THRESHOLD), count=7, seed=2)
+@example(config=_workload_point(0.25, 0.02, 1, Detector.PNR), count=7812, seed=3)
+@example(config=_workload_point(2.0, 1.0, 1, Detector.THRESHOLD), count=7812, seed=4)
+@example(config=_workload_point(1.0, 0.3, 1, Detector.THRESHOLD, McMode.BEAM_DUMP), count=7812, seed=5)
+def test_event_list_chunk_equals_the_dense_engine(config, count, seed):
+    """The event list takes the dense engine's draws from the same substream,
+    so every counter is equal, not just alike in distribution."""
+    p, mode = config
+    count = min(count, max(1, 1_000_000 // (p.M * p.L)))
+    assert _chunk(p, mode, rng=substream(seed, (0,)), count=count) == \
+        dense_chunk(p, mode, rng=substream(seed, (0,)), count=count)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
+def test_a_binomial_at_n_zero_draws_nothing(p):
+    """The event list's premise about numpy: a binomial returns 0 at n = 0
+    without a draw, so one over the nonzero n alone gives the same values and
+    leaves the generator in the same state.  n = 200 puts p n above 30 at
+    p = 0.25 and 0.5 (the BTPE branch); p = 1 draws by inversion at q = 0."""
+    for n in ([0, 3, 0, 5, 0], [0, 200, 0, 0, 200]):
+        n = np.array(n)
+        full, nonzero = np.random.default_rng(17), np.random.default_rng(17)
+        values = full.binomial(n, p)
+        assert values[n == 0].tolist() == [0] * int((n == 0).sum())
+        assert values[n > 0].tolist() == nonzero.binomial(n[n > 0], p).tolist()
+        assert full.random() == nonzero.random()
+
+
+@pytest.mark.parametrize("detector,mode", [(Detector.PNR, McMode.STANDARD),
+                                           (Detector.THRESHOLD, McMode.STANDARD),
+                                           (Detector.THRESHOLD, McMode.BEAM_DUMP)])
+def test_a_chunk_of_a_million_slots_stays_small(detector, mode):
+    """One 10^6-slot chunk at L = 128 and lambda = 1: the dense engine peaked
+    at 63 MB (33 MB in beam dump) under tracemalloc, the event list at
+    9.8 MB (8.8 MB), most of it the full-size draws."""
+    p = ProtocolParams(mu=1.0 / 128, nu_th=0, eta=1.0, M=1, L=128, d_c=1e-3, detector=detector)
+    tracemalloc.start()
+    try:
+        _chunk(p, mode, rng=substream(3, (0,)), count=CHUNK_ELEMENTS // 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
