@@ -17,8 +17,8 @@ import numpy as np
 # substream layout (not the distribution), so results are fixed per version.
 CHUNK_ELEMENTS = 1_000_000
 
-# ``fan_out`` pools only to save more than a spawned worker's start-up with
-# numpy and scipy (0.5-1.2 s on 2 vCPUs), in batches of about BATCH_S s of work.
+# ``fan_out`` pools only to save more than a spawned worker's start-up, 0.4-0.5 s with scipy
+# (sweeps) and 0.2-0.35 s without (Monte Carlo, attack) on 2 vCPUs, in BATCH_S-s batches.
 WORKER_START_S = 0.8
 BATCH_S = 0.05
 

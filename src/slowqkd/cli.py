@@ -30,7 +30,7 @@ import os
 import sys
 import tempfile
 from dataclasses import MISSING, fields
-from functools import partial
+from functools import cache, partial
 from typing import get_type_hints
 
 import numpy as np
@@ -313,6 +313,7 @@ _COMMANDS: dict[str, tuple] = {
 # parser
 
 
+@cache  # one parser per process: building it costs about 2 ms a call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slowqkd",

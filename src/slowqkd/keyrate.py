@@ -16,8 +16,9 @@ Only the branch points differ: quotients at a zero denominator (the
 geometric sum at r = 1, e_bit and e_mB/Q at Q = 0), e_src_slow at e_src = 1,
 the entropy (0 outside (0, 1) for one point, so it never raises), the
 e_ph >= 1/2 saturation, gammainc (for one point scipy's compiled scalar,
-``cython_special.gammainc``, which equals its ufunc bit for bit at a tenth
-of the call cost), and ``keep``, the one place that decides G.
+``cython_special.gammainc``, its ufunc bit for bit at a tenth of the call
+cost; scipy loads at the first call, so ``_detection``, the Monte Carlo and
+the attack study run without it), and ``keep``, the one place that decides G.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import cython_special, gammainc
 
 from ._env import check_integers
 
@@ -146,6 +146,12 @@ def _h(xp, x):
     return -x * xp.log2(x) - (1.0 - x) * xp.log2(1.0 - x)
 
 
+def _load_gammainc(xp, a, x):  # the first call of either gammainc binds both for good
+    from scipy.special import cython_special, gammainc
+    _SCALAR.gammainc, _ARRAY.gammainc = cython_special.gammainc, gammainc
+    return xp.gammainc(a, x)
+
+
 # The namespaces the model is written over.  Each carries its own branch
 # points: ``quotient`` takes ``at_zero`` where its denominator vanishes,
 # log1p(-1) = -inf, h(0) = h(1) = 0, and the phase penalty is one bit from
@@ -157,7 +163,7 @@ _SCALAR = SimpleNamespace(  # one operating point, with math
     exp=math.exp, expm1=math.expm1,
     log1p=lambda x: math.log1p(x) if x > -1.0 else -math.inf,
     quotient=lambda a, b, at_zero: a / b if b else at_zero,
-    gammainc=cython_special.gammainc,
+    gammainc=lambda a, x: _load_gammainc(_SCALAR, a, x),
     entropy=lambda x: _h(math, x) if 0.0 < x < 1.0 else 0.0,
     penalty=lambda e: 1.0 if e >= 0.5 else _SCALAR.entropy(e),
     keep=lambda bound, g: g if bound and g > 0.0 else 0.0,
@@ -165,7 +171,7 @@ _SCALAR = SimpleNamespace(  # one operating point, with math
 _ARRAY = SimpleNamespace(  # a (nu_th, mu) grid, with numpy under np.errstate
     exp=np.exp, expm1=np.expm1, log1p=np.log1p,
     quotient=lambda a, b, at_zero: np.where(b == 0.0, at_zero, a / b),
-    gammainc=gammainc,
+    gammainc=lambda a, x: _load_gammainc(_ARRAY, a, x),
     entropy=lambda x: np.where((x == 0.0) | (x == 1.0), 0.0, _h(np, x)),
     penalty=lambda e: np.where(e >= 0.5, 1.0, _ARRAY.entropy(e)),
     keep=lambda bound, g: np.where(bound & (g > 0.0), g, 0.0),
@@ -231,6 +237,22 @@ def _tagged(xp, L: int, mu, nu_th):
     return xp.gammainc(nu_th + 1, L * mu)
 
 
+def _detection(xp, p: ProtocolParams, mu):
+    """(Q, e_mB, e_bit) at ``mu`` and the rest of ``p``: the stage nu_th, c_d and gammainc skip."""
+    L, M, d_c = p.L, p.M, p.d_c
+    lam = L * p.eta * mu
+    decay = xp.exp(-lam)
+    signal = 0.5 * lam * decay  # sifted photon clicks per block
+    dark = L * d_c
+    geom = _geom_sum(xp, -lam + 2.0 * L * math.log1p(-d_c), M)  # r: no click in 2L slots
+    Q = (signal + dark) * geom
+    emb = 0.0  # PNR detectors resolve photon number
+    if p.detector is Detector.THRESHOLD:
+        emb = 8.0 * _multi_detection(lam, decay, signal, L, d_c) * geom
+    ebit = xp.quotient(signal * p.e_sys + 0.5 * dark, signal + dark, math.nan)  # darks err at 1/2
+    return Q, emb, ebit
+
+
 def _model(xp, p: ProtocolParams, mu, nu_th, tagged=None):
     """The rate model at (``mu``, ``nu_th``) and the rest of ``p``, over ``xp``.
 
@@ -246,18 +268,8 @@ def _model(xp, p: ProtocolParams, mu, nu_th, tagged=None):
     e_src_slow/(Q - e_mB); none exists when Q - e_mB <= 0 or x > 1:
     ``key_rate``'s "no_valid_bound" when Q > 0 (Q <= 0 is "no_detection").
     """
-    L, M, d_c = p.L, p.M, p.d_c
-    lam = L * p.eta * mu
-    decay = xp.exp(-lam)
-    signal = 0.5 * lam * decay  # sifted photon clicks per block
-    dark = L * d_c
-    geom = _geom_sum(xp, -lam + 2.0 * L * math.log1p(-d_c), M)  # r: no click in 2L slots
-    Q = (signal + dark) * geom
-    emb = 0.0  # PNR detectors resolve photon number
-    if p.detector is Detector.THRESHOLD:
-        emb = 8.0 * _multi_detection(lam, decay, signal, L, d_c) * geom
+    L, M, (Q, emb, ebit) = p.L, p.M, _detection(xp, p, mu)
     esl = _e_src_slow(xp, _tagged(xp, L, mu, nu_th) if tagged is None else tagged, M)
-    ebit = xp.quotient(signal * p.e_sys + 0.5 * dark, signal + dark, math.nan)  # darks err at 1/2
     usable = Q - emb  # double-count candidates are discarded
     x = xp.quotient(esl, usable, math.nan)
     bound = (usable > 0.0) & (x <= 1.0)  # implies Q > 0, since e_mB >= 0
@@ -304,7 +316,7 @@ def detection_rate_Q(p: ProtocolParams) -> float:
     with the silent-block rate r and per-block click rate s from the
     module model.
     """
-    return _model(_SCALAR, p, p.mu, p.nu_th)[0]
+    return _detection(_SCALAR, p, p.mu)[0]
 
 
 def bit_error_rate(p: ProtocolParams) -> float:
@@ -314,10 +326,10 @@ def bit_error_rate(p: ProtocolParams) -> float:
     over blocks cancels against the one in Q.  Raises when the detection
     rate is zero (no sifted bits exist).
     """
-    model = _model(_SCALAR, p, p.mu, p.nu_th)
-    if model[0] <= 0.0:
+    Q, _, ebit = _detection(_SCALAR, p, p.mu)
+    if Q <= 0.0:
         raise ValueError("bit error rate undefined: detection rate is zero")
-    return model[3]
+    return ebit
 
 
 def key_rate(p: ProtocolParams) -> KeyRateResult:

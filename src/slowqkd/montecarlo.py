@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._env import check_run, seeded_chunks
-from .keyrate import Detector, ProtocolParams, key_rate
+from .keyrate import _SCALAR, Detector, ProtocolParams, _detection
 
 __all__ = [
     "McMode",
@@ -130,10 +130,12 @@ def _arrivals(p: ProtocolParams, rng: np.random.Generator,
               size: int) -> tuple[np.ndarray, np.ndarray]:
     """The ascending slots that photons reach Bob in, and how many reach him
     in each: Poisson(mu) emitted per slot, each kept with probability eta."""
-    emitted = rng.poisson(p.mu, size)
-    slots = np.flatnonzero(emitted)
-    n_bob = rng.binomial(emitted[slots], p.eta)
-    return slots[n_bob > 0], n_bob[n_bob > 0]
+    n_bob = rng.poisson(p.mu, size)  # emitted
+    slots = np.flatnonzero(n_bob)
+    n_bob = n_bob[slots]  # the full-size array goes before the binomial
+    n_bob = rng.binomial(n_bob, p.eta)
+    slots = slots[n_bob > 0]  # the old slots go before n_bob is cut
+    return slots, n_bob[n_bob > 0]
 
 
 def _block_sums(p: ProtocolParams, count: int, slots: np.ndarray, weights=None) -> np.ndarray:
@@ -169,11 +171,11 @@ def _sift_standard(p: ProtocolParams, rng: np.random.Generator, count: int,
     correct_det = rng.integers(0, 2, size) == 1
     dark = np.flatnonzero(rng.random(size) < p.d_c)
     dark_wrong = (rng.integers(0, 2, size)[dark] == 1) != correct_det[dark]
-    slot = np.concatenate((slots, slots, dark))
-    n = np.concatenate((n_valid - n_wrong, n_wrong, np.ones(len(dark), np.int64)))
-    wrong = np.concatenate((np.zeros(len(slots), bool), np.ones(len(slots), bool), dark_wrong))
-    held = n > 0
-    slot, n, wrong = slot[held], n[held], wrong[held]
+    right, errs = n_valid > n_wrong, n_wrong > 0  # each part is cut to its events before they join
+    n = np.concatenate(((n_valid - n_wrong)[right], n_wrong[errs], np.ones(len(dark), np.int64)))
+    del n_valid, n_wrong  # the full-size counts go before the slots are cut
+    slot = np.concatenate((slots[right], slots[errs], dark))
+    wrong = np.concatenate((np.zeros(right.sum(), bool), np.ones(errs.sum(), bool), dark_wrong))
     if p.detector is Detector.PNR:
         counts = _block_sums(p, count, slot, n)
         first = _first_block(counts > 0)
@@ -202,12 +204,14 @@ def _sift_beamdump(p: ProtocolParams, rng: np.random.Generator, count: int,
     first clicked block in which both detectors click.
     """
     size = count * p.M * p.L
-    to_a = rng.binomial(n_bob, 0.25)
-    to_b = rng.binomial(n_bob - to_a, 1.0 / 3.0)
+    n = rng.binomial(n_bob, 0.25)  # to detector a; then the rest, of which a third go to b
+    hit_a = n > 0
+    hit_b = rng.binomial(np.subtract(n_bob, n, out=n), 1.0 / 3.0) > 0
+    del n  # before the full-size dark-count draws
     dark_a = np.flatnonzero(rng.random(size) < p.d_c)
     dark_b = np.flatnonzero(rng.random(size) < p.d_c)
-    a = _block_sums(p, count, np.append(slots[to_a > 0], dark_a)) > 0
-    b = _block_sums(p, count, np.append(slots[to_b > 0], dark_b)) > 0
+    a = _block_sums(p, count, np.append(slots[hit_a], dark_a)) > 0
+    b = _block_sums(p, count, np.append(slots[hit_b], dark_b)) > 0
     first = _first_block(a | b)
     return a[first] & b[first]
 
@@ -277,10 +281,10 @@ def compare_to_analytic(cfg: McConfig) -> list[McComparison]:
     model's proportion (``_comparison``).
     """
     stats = simulate(cfg)
-    model = key_rate(cfg.params)  # e_bit is nan where Q = 0: no sifted bits exist
+    Q, e_mB, e_bit = _detection(_SCALAR, cfg.params, cfg.params.mu)  # key_rate's; e_bit nan at Q = 0
     if cfg.mode is McMode.STANDARD:
-        rows = [("Q", model.Q, stats.detected, stats.sequences, 1.0),
-                ("e_bit", model.e_bit, stats.bit_errors, stats.detected, 1.0)]
+        rows = [("Q", Q, stats.detected, stats.sequences, 1.0),
+                ("e_bit", e_bit, stats.bit_errors, stats.detected, 1.0)]
     else:
-        rows = [("e_mB", model.e_mB, stats.double_counts, stats.sequences, 8.0)]
+        rows = [("e_mB", e_mB, stats.double_counts, stats.sequences, 8.0)]
     return [_comparison(*row) for row in rows]

@@ -2,14 +2,16 @@
 
 import importlib
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import slowqkd
-from slowqkd import Detector, ProtocolParams, attacksim, key_rate
+from slowqkd import Detector, ProtocolParams, attacksim, cli, key_rate
 from slowqkd._env import chunk_schedule
 from slowqkd.cli import ATTACK_HEADER, MC_HEADER, RATE_HEADER, main
 
@@ -386,6 +388,19 @@ def test_help_exits_zero(capsys):
     assert run(capsys, ["curve", "--help"])[0] == 0
 
 
+def test_main_builds_its_parser_once(capsys):
+    """Calls of main() share one parser, which a parse leaves as it found it:
+    a second call prints the same help and usage errors, with the same codes."""
+    cli._build_parser.cache_clear()
+    calls = (["--help"], ["mc-validate", "--help"], ["keyrate", "--mu", "abc", "--nu-th", "1",
+             "--eta", "0.1"], ["frobnicate"], ["attack", "--no-such-flag"])
+    first = [run(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 2, 2, 2]
+    assert [run(capsys, argv) for argv in calls] == first
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(calls) - 1)
+
+
 # ---------------------------------------------------------------------------
 # file output
 
@@ -576,6 +591,41 @@ REFERENCE_ROWS = [
 def test_small_commands_match_their_reference_rows(capsys, argv, want):
     """keyrate, mc-validate, attack and optimize print these rows byte for byte."""
     assert run(capsys, argv.split()) == (0, want, "")
+
+
+SCIPY_FREE = """
+import json, os, sys
+from slowqkd import DEFAULT_SCENARIO, McConfig, McMode, ProtocolParams, honest_baseline, simulate
+from slowqkd.cli import main
+out = os.path.join(sys.argv[1], "out.csv")
+mc = ["mc-validate", "--mu", "0.01", "--eta", "0.1", "--L", "8", "--trials", "2000", "--out", out]
+seen = {"import": "scipy.special" in sys.modules}
+for name, argv in [("attack", ["attack", "--trials", "2000", "--out", out]), ("pnr", mc),
+                   ("threshold", mc + ["--detector", "threshold"]),
+                   ("beamdump", mc + ["--detector", "threshold", "--mode", "beamdump"])]:
+    assert main(argv) == 0, argv
+    seen[name] = "scipy.special" in sys.modules
+honest_baseline(DEFAULT_SCENARIO, 3, 1)
+seen["honest_baseline"] = "scipy.special" in sys.modules
+simulate(McConfig(ProtocolParams(mu=0.01, nu_th=0, eta=0.1, L=8), 1000, 1, McMode.STANDARD))
+seen["simulate"] = "scipy.special" in sys.modules
+assert main(["keyrate", "--mu", "0.03", "--nu-th", "12", "--eta", "0.1", "--out", out]) == 0
+seen["keyrate"] = "scipy.special" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_tagged_fraction_loads_scipy(tmp_path):
+    """A fresh process imports slowqkd, runs attack, mc-validate in its three
+    modes, honest_baseline and simulate without loading scipy.special, which
+    is most of the package's start-up; keyrate loads it."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen.pop("keyrate") is True
+    assert seen == dict.fromkeys(["import", "attack", "pnr", "threshold", "beamdump",
+                                  "honest_baseline", "simulate"], False)
 
 
 @pytest.mark.skipif(shutil.which("slowqkd") is None,

@@ -1,7 +1,12 @@
 """Analytic rate formulas against high-precision and frozen references."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -529,6 +534,34 @@ def test_scalar_tail_is_the_ufunc_bit_for_bit(data):
     p = ProtocolParams(mu=mu, nu_th=nu, eta=0.5, L=L)
     a, x = p.nu_th + 1, p.L * p.mu
     assert _SCALAR.gammainc(a, x) == float(gammainc(a, x))
+
+
+FIRST_GAMMAINC = """
+import json, sys
+import numpy as np
+from slowqkd import keyrate
+a, x = np.array([1, 3, 13, 200]), np.array([0.0, 2.5, 1e-3, 180.0])
+assert "scipy.special" not in sys.modules
+if sys.argv[1] == "scalar":
+    first = [keyrate._SCALAR.gammainc(int(ai), float(xi)) for ai, xi in zip(a, x)]
+else:
+    first = keyrate._ARRAY.gammainc(a, x).tolist()
+from scipy.special import cython_special, gammainc
+assert keyrate._SCALAR.gammainc is cython_special.gammainc and keyrate._ARRAY.gammainc is gammainc
+print(json.dumps([[v.hex() for v in first], [v.hex() for v in gammainc(a, x).tolist()]]))
+"""
+
+
+@pytest.mark.parametrize("namespace", ["scalar", "array"])
+def test_the_loading_gammainc_call_returns_scipys_value(namespace):
+    """scipy.special is imported at the first gammainc call of either
+    namespace, which binds both to scipy's own functions; in a fresh process,
+    that first call already returns scipy's values bit for bit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", FIRST_GAMMAINC, namespace], env=env,
+                          capture_output=True, text=True, check=True)
+    first, scipys = json.loads(proc.stdout.splitlines()[-1])
+    assert first == scipys
 
 
 def test_largest_accepted_mu_keeps_the_rate_finite():

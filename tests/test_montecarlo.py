@@ -24,6 +24,7 @@ from slowqkd import (
     binomial_stderr,
     compare_to_analytic,
     detection_rate_Q,
+    key_rate,
     simulate,
 )
 from slowqkd import montecarlo
@@ -167,17 +168,28 @@ def test_a_binomial_at_n_zero_draws_nothing(p):
                                            (Detector.THRESHOLD, McMode.STANDARD),
                                            (Detector.THRESHOLD, McMode.BEAM_DUMP)])
 def test_a_chunk_of_a_million_slots_stays_small(detector, mode):
-    """One 10^6-slot chunk at L = 128 and lambda = 1: the dense engine peaked
-    at 63 MB (33 MB in beam dump) under tracemalloc, the event list at
-    9.8 MB (8.8 MB), most of it the full-size draws."""
-    p = ProtocolParams(mu=1.0 / 128, nu_th=0, eta=1.0, M=1, L=128, d_c=1e-3, detector=detector)
-    tracemalloc.start()
-    try:
-        _chunk(p, mode, rng=substream(3, (0,)), count=CHUNK_ELEMENTS // 128)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20, peak
+    """One 10^6-slot chunk at L = 128, eta = 1 and d_c = 1e-3, under
+    tracemalloc (MB = 2^20 bytes; numpy 2.4.6).  ``oracles.dense_chunk``
+    peaks at 63.0 MB (33.4 MB in beam dump) at any mu.
+
+    At lambda = 1 per block the event list peaks at 9.8-10.5 MB (8.7 MB),
+    most of it the full-size draws; the bound is 32 MB.  At mu = 5 per slot,
+    where nearly every slot holds photons and the slot list is as long as
+    the chunk, it peaks at 49.1 MB (PNR), 50.2 MB (threshold) and 32.2 MB
+    (beam dump); the bound is the dense engine's peak.  Joining the standard
+    sift's three entry lists at full size before dropping the empty entries,
+    and holding the emissions and both detectors' photon counts through
+    the later draws, had taken it to 81.4 MB (41.3 MB)."""
+    dense_peak = 33.4 if mode is McMode.BEAM_DUMP else 63.0
+    for mu, bound in ((1.0 / 128, 32.0), (5.0, dense_peak)):
+        p = ProtocolParams(mu=mu, nu_th=0, eta=1.0, M=1, L=128, d_c=1e-3, detector=detector)
+        tracemalloc.start()
+        try:
+            _chunk(p, mode, rng=substream(3, (0,)), count=CHUNK_ELEMENTS // 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, (mu, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +359,44 @@ def test_compare_to_analytic_rows_and_zscores():
     q = rows[0]
     assert q.analytic == pytest.approx(detection_rate_Q(p), rel=1e-12)
     assert abs(q.z) <= 4.0  # leading-order analytic, lambda = 8e-4
+
+
+SIFTS = [(Detector.PNR, McMode.STANDARD), (Detector.THRESHOLD, McMode.STANDARD),
+          (Detector.THRESHOLD, McMode.BEAM_DUMP)]
+
+
+def _bits(rows):
+    return [tuple(map(repr, vars(row).values())) for row in rows]  # nan reads as nan
+
+
+@settings(max_examples=150, deadline=None)
+@given(sift=st.sampled_from(SIFTS), L=st.integers(2, 16), M=st.integers(1, 30),
+       lam=st.one_of(st.just(0.0), st.floats(1e-4, 4.0)),
+       eta=st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 1.0)),
+       dark=st.one_of(st.just(0.0), st.floats(0.0, 0.25)), e_sys=st.floats(0.0, 1.0),
+       nu=st.floats(0.0, 1.0), c_d=st.floats(0.0, 1e3), seed=st.integers(0, 2**32))
+@example(sift=SIFTS[0], L=8, M=3, lam=0.0, eta=0.5, dark=0.0, e_sys=0.03, nu=0.0, c_d=0.0,
+         seed=1)  # Q = 0: no photons and no dark counts, so e_bit is nan
+@example(sift=SIFTS[1], L=8, M=1, lam=3.0, eta=1.0, dark=0.0, e_sys=0.03, nu=0.5, c_d=5.0,
+         seed=2)  # e_mB > Q at L eta mu = 3
+@example(sift=SIFTS[2], L=8, M=1, lam=3.0, eta=1.0, dark=1e-2, e_sys=0.03, nu=1.0, c_d=0.0,
+         seed=3)
+def test_compare_to_analytic_reads_key_rates_values(sift, L, M, lam, eta, dark, e_sys, nu, c_d,
+                                                    seed):
+    """The model column is key_rate's Q, e_bit and e_mB, bit for bit, though
+    compare_to_analytic evaluates only the detection stage: nu_th, c_d and
+    the tagged fraction enter none of them.  lam is L mu and dark is L d_c."""
+    detector, mode = sift
+    p = ProtocolParams(mu=lam / L, nu_th=round(nu * (L - 1)), eta=eta, M=M, L=L, e_sys=e_sys,
+                       d_c=dark / L, c_d=c_d, detector=detector)
+    cfg = McConfig(params=p, trials=200, seed=seed, mode=mode)
+    stats, model = simulate(cfg), key_rate(p)
+    if mode is McMode.STANDARD:
+        rows = [("Q", model.Q, stats.detected, stats.sequences, 1.0),
+                ("e_bit", model.e_bit, stats.bit_errors, stats.detected, 1.0)]
+    else:
+        rows = [("e_mB", model.e_mB, stats.double_counts, stats.sequences, 8.0)]
+    assert _bits(compare_to_analytic(cfg)) == _bits(montecarlo._comparison(*row) for row in rows)
 
 
 def test_z_of_a_zero_count_uses_the_model_stderr():
