@@ -121,13 +121,11 @@ def analytic_success(sc: AttackScenario) -> float:
 
 @dataclass(frozen=True)
 class AttackStats:
-    scenario: AttackScenario
     trials: int
     successes: int
     sifted_naive_total: int
     sifted_modified_total: int
     bit_errors_total: int
-    clicks_histogram: dict[int, int]
 
     @property
     def empirical_success(self) -> float:
@@ -174,20 +172,15 @@ def run_attack(sc: AttackScenario, trials: int, seed: int) -> AttackStats:
     detections, so modified sifting keeps nothing when M > 1.
     """
     check_run(trials, seed)
-    nf = sc.n_forwarded
     successes, naive_total, errors_total = seeded_chunks(
         _attack_chunk, (sc,), seed, trials, _RUN_ARRAYS
     )
-    hist = {0: (sc.n_sequences - nf) * trials} if sc.n_sequences > nf else {}
-    hist[sc.M] = nf * trials  # M >= 1, so this never adds to the blocked count at 0
     return AttackStats(
-        scenario=sc,
         trials=trials,
         successes=successes,
         sifted_naive_total=naive_total,
         sifted_modified_total=naive_total if sc.M == 1 else 0,
         bit_errors_total=errors_total,
-        clicks_histogram=hist,
     )
 
 

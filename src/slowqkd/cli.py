@@ -102,8 +102,8 @@ _HELP = {
 def _coerce(key: str, kind: object, value: object) -> object:
     """One option value, from a flag (a string) or a config file, as ``kind``.
 
-    A value of the wrong type is a usage error naming the key.  A choice
-    outside an enum is a domain error, like any other out-of-range value.
+    A value of the wrong type is a usage error naming the key.  A choice outside
+    an enum, as a flag or in a config, is a domain error like any out-of-range value.
     """
     if isinstance(kind, enum.EnumMeta):
         choices = [e.value for e in kind]
@@ -282,7 +282,11 @@ def cmd_attack(m: dict, out: str | None) -> None:
 def cmd_mc_validate(m: dict, out: str | None) -> None:
     # nu_th and c_d enter none of Q, e_bit and e_mB, nor the simulation.
     cfg = _build(McConfig, m, params=_build(ProtocolParams, m, nu_th=0))
-    _emit(out, MC_HEADER, [vars(c) for c in compare_to_analytic(cfg)])
+    try:
+        rows = compare_to_analytic(cfg)
+    except MemoryError as exc:  # a chunk holds max(10**6, M*L) slots
+        raise ValueError(f"out of memory at M*L = {cfg.params.M * cfg.params.L} slots") from exc
+    _emit(out, MC_HEADER, [vars(c) for c in rows])
 
 
 # subcommand -> (handler, help, options)
@@ -327,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--" + key.replace("_", "-"),
                 default=argparse.SUPPRESS,
                 help=_HELP.get(key),
-                choices=[e.value for e in kind] if isinstance(kind, enum.EnumMeta) else None,
+                metavar=("{%s}" % ",".join(e.value for e in kind)  # no choices: _coerce checks
+                         if isinstance(kind, enum.EnumMeta) else None),
                 nargs="+" if kind == _INTS else None,
             )
         sp.add_argument("--config", default=None, metavar="FILE",

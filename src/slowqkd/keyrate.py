@@ -10,8 +10,8 @@ than ``nu_th`` photons is treated as fully leaked, and the slow basis
 choice inflates that fraction to whole-sequence scope (``e_src_slow``).
 
 The model is written once (``_model``) over a namespace argument, in the
-style of the array API standard: ``math`` for one point (``key_rate``, whose
-fields hold each quantity), numpy for the optimizer's grid (``rate_grid``).
+style of the array API standard: ``math`` for one point (``key_rate``, and the
+optimizer's refinement, which reads G alone), numpy for its grid (``rate_grid``).
 Only the branch points differ: quotients at a zero denominator (the
 geometric sum at r = 1, e_bit and e_mB/Q at Q = 0), e_src_slow at e_src = 1,
 the entropy (0 outside (0, 1) for one point, so it never raises), the
@@ -200,6 +200,7 @@ def e_src_slow(e_src_block: float, M: int) -> float:
     expm1/log1p so the cancellation regime e_src * M << 1 keeps full
     relative precision.
     """
+    check_integers(M=M)
     if not 0.0 <= e_src_block <= 1.0:
         raise ValueError(f"e_src must be within [0, 1], got {e_src_block}")
     if M < 1:
@@ -254,13 +255,14 @@ def _detection(xp, p: ProtocolParams, mu):
 
 
 def _model(xp, p: ProtocolParams, mu, nu_th, tagged=None):
-    """The rate model at (``mu``, ``nu_th``) and the rest of ``p``, over ``xp``.
+    """The rate model at (``mu``, ``nu_th``), unvalidated, and the rest of ``p``, over ``xp``.
 
     Returns (Q, e_src_slow, e_mB, e_bit, bound, e_ph, G_raw, G), where
     ``bound`` says whether a phase-error bound exists and G = ``xp.keep(bound,
     G_raw)``.  Every value is computed at every point; per-point values branch
     only inside ``xp``.  e_bit is nan where Q = 0, and where no bound exists
-    e_ph and G_raw mean nothing and ``keep`` gives G = 0.
+    e_ph and G_raw mean nothing and ``keep`` gives G = 0.  Over ``_SCALAR``,
+    G is ``key_rate(replace(p, mu=mu, nu_th=nu_th)).G`` bit for bit.
 
     ``tagged`` is ``_tagged(xp, p.L, mu, nu_th)``, computed here unless the
     caller holds it already.  e_mB is 8 times the double-count candidates,
@@ -347,17 +349,6 @@ def key_rate(p: ProtocolParams) -> KeyRateResult:
         return KeyRateResult(g_raw, G, Q, ebit, eph, esl, emb)
     reason = "no_valid_bound" if Q > 0.0 else "no_detection"  # e_bit is nan where Q = 0
     return KeyRateResult(0.0, 0.0, Q, ebit, math.nan, esl, emb, reason=reason)
-
-
-def _clamped_rate(p: ProtocolParams, mu: float, nu_th: int) -> float:
-    """``key_rate(replace(p, mu=mu, nu_th=nu_th)).G``, bit for bit, from the model.
-
-    ``_model`` reads mu and nu_th only from its arguments, and ``key_rate``
-    reads G from it too; what is skipped is re-validating ``p`` and building
-    a ``KeyRateResult``.  ``mu`` and ``nu_th`` must lie in the domain
-    ``ProtocolParams`` accepts.
-    """
-    return _model(_SCALAR, p, mu, nu_th)[-1]
 
 
 def rate_grid(p: ProtocolParams, mu: Sequence[float], nu_th: Sequence[int],

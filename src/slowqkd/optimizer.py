@@ -8,7 +8,7 @@ nu_th/(L-1) alone costs every bit a sifted bit can carry, so the rows left
 out hold G = 0 exactly (``keyrate._keyed_rows`` derives this).  The
 ``nu_th`` holding the grid maximum and its two neighbours are then refined
 by golden-section search in log(mu) through the scalar model
-(``keyrate._clamped_rate``), from the first grid pass.  ``M`` is picked
+(``keyrate._model`` over ``_SCALAR``), from the first grid pass.  ``M`` is picked
 from an explicit candidate list.  No randomness is involved anywhere, so
 repeated runs are bit-identical.
 
@@ -26,13 +26,14 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._env import fan_out
+from ._env import check_integers, fan_out
 from .keyrate import (
     _ARRAY,
+    _SCALAR,
     KeyRateResult,
     ProtocolParams,
-    _clamped_rate,
     _keyed_rows,
+    _model,
     _tagged,
     key_rate,
     rate_grid,
@@ -91,27 +92,24 @@ class CurveSpec:
             raise ValueError("M_values must be positive integers")
 
 
-def mu_grid(points_per_decade: int = POINTS_PER_DECADE) -> list[float]:
+@lru_cache(maxsize=2, typed=True)  # typed: 1 and True, or 20 and 20.0, are not one entry
+def mu_grid(points_per_decade: int = POINTS_PER_DECADE) -> tuple[float, ...]:
     """Logarithmic mu scan grid covering [MU_MIN, MU_MAX], at most
     ``_GRID_CELLS`` points so that one row fits a ``rate_grid`` call."""
+    check_integers(points_per_decade=points_per_decade)
     lo = math.log10(MU_MIN)
     hi = math.log10(MU_MAX)
     most = int((_GRID_CELLS - 1) / (hi - lo))
     if not 1 <= points_per_decade <= most:
         raise ValueError(f"points_per_decade must be in [1, {most}], got {points_per_decade}")
     n = round((hi - lo) * points_per_decade)
-    return [10.0 ** (lo + (hi - lo) * i / n) for i in range(n + 1)]
-
-
-@lru_cache(maxsize=2)
-def _grid(points_per_decade: int) -> tuple[float, ...]:
-    return tuple(mu_grid(points_per_decade))
+    return tuple(10.0 ** (lo + (hi - lo) * i / n) for i in range(n + 1))
 
 
 @lru_cache(maxsize=2)  # L = 4096 needs two chunks
 def _tagged_chunk(L: int, points_per_decade: int, lo: int, hi: int) -> np.ndarray:
     """``keyrate._tagged`` for rows lo..hi-1 over the mu grid, read-only."""
-    table = _tagged(_ARRAY, L, np.asarray(_grid(points_per_decade)), np.arange(lo, hi)[:, None])
+    table = _tagged(_ARRAY, L, np.asarray(mu_grid(points_per_decade)), np.arange(lo, hi)[:, None])
     table.flags.writeable = False
     return table
 
@@ -119,7 +117,7 @@ def _tagged_chunk(L: int, points_per_decade: int, lo: int, hi: int) -> np.ndarra
 def _best_mu(
     base: ProtocolParams, nu_th: int, grid: tuple[float, ...], best_i: int, best_g: float
 ) -> tuple[float, float]:
-    """Maximize clamped G over mu at one nu_th: golden-section in log(mu).
+    """Maximize clamped G over mu at one nu_th: golden-section in log(mu) on the scalar ``_model``.
 
     ``best_i`` is the index of the row's first maximum on ``grid`` and
     ``best_g`` its value; the search brackets it by the two neighbouring
@@ -127,7 +125,7 @@ def _best_mu(
     """
 
     def g(logmu: float) -> float:
-        return _clamped_rate(base, 10.0**logmu, nu_th)
+        return _model(_SCALAR, base, 10.0**logmu, nu_th)[-1]
 
     best_mu = grid[best_i]
     a = math.log10(grid[max(best_i - 1, 0)])
@@ -170,7 +168,7 @@ def optimize_point(
     (mu = MU_MIN, nu_th = 0) with G = 0.
     """
     base = replace(base, eta=eta, M=M)  # validates eta and M, which rate_grid does not
-    grid = _grid(points_per_decade)
+    grid = mu_grid(points_per_decade)
     chunk = max(1, _GRID_CELLS // len(grid))
     keyed = _keyed_rows(base)
     peak_i: list[int] = []  # per keyed row: the index of its first maximum on the grid
@@ -201,12 +199,9 @@ def optimize_with_M(
     """Best Optimum across candidate sequence lengths (ties keep the smaller M)."""
     if len(M_candidates) == 0:
         raise ValueError("M_candidates must be non-empty")
-    best: Optimum | None = None
-    for M in sorted(M_candidates):
-        opt = optimize_point(base, eta, M, points_per_decade=points_per_decade)
-        if best is None or opt.result.G > best.result.G:
-            best = opt
-    return best
+    optima = (optimize_point(base, eta, M, points_per_decade=points_per_decade)
+              for M in sorted(M_candidates))
+    return max(optima, key=lambda o: o.result.G)  # first maximum: the smaller M
 
 
 def heuristic_M(L: int, c_d: float) -> int:

@@ -52,6 +52,8 @@ def test_scenario_field_validation():
         AttackScenario(p_z=0.0)
     with pytest.raises(ValueError):
         AttackScenario(M=0)
+    with pytest.raises(ValueError, match="n_clean must be >= 0"):
+        AttackScenario(n_measured=101, n_clean=-1)  # 100 forwarded: only the sign refuses it
     with pytest.raises(ValueError, match="exceeds"):
         AttackScenario(n_sequences=50, n_measured=99, n_clean=1, eta_nominal=1.0)
     # the budget check would overflow converting n_sequences*M to a float
@@ -156,15 +158,6 @@ def test_run_attack_single_pulse_sequences_evade_countermeasure():
     )
     stats = run_attack(sc, trials=20_000, seed=20)
     assert stats.sifted_modified_total == stats.sifted_naive_total > 0
-
-
-def test_run_attack_click_pattern_is_all_or_nothing():
-    stats = run_attack(DEFAULT_SCENARIO, trials=1000, seed=21)
-    sc = DEFAULT_SCENARIO
-    assert stats.clicks_histogram == {
-        0: (sc.n_sequences - sc.n_forwarded) * 1000,
-        sc.M: sc.n_forwarded * 1000,
-    }
 
 
 def test_run_attack_test_round_error_mean():

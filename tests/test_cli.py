@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import slowqkd
-from slowqkd import Detector, ProtocolParams, attacksim, cli, key_rate
+from slowqkd import Detector, ProtocolParams, attacksim, cli, key_rate, montecarlo
 from slowqkd._env import chunk_schedule
 from slowqkd.cli import ATTACK_HEADER, MC_HEADER, RATE_HEADER, main
 
@@ -218,10 +218,25 @@ def test_domain_error_is_exit_3(capsys):
 
 
 def test_bad_detector_in_config_is_exit_3(tmp_path, capsys):
+    """An unknown enum value is a domain error, in a config or as a flag,
+    with one message: the parser holds no second list of choices."""
     cfg = tmp_path / "det.json"
     cfg.write_text(json.dumps({"mu": 0.03, "nu-th": 5, "eta": 0.1,
                                "detector": "calorimeter"}))
-    assert run(capsys, ["keyrate", "--config", str(cfg)])[0] == 3
+    code, _, err = run(capsys, ["keyrate", "--config", str(cfg)])
+    assert code == 3
+    assert err == "slowqkd: error: detector must be one of pnr, threshold, got 'calorimeter'\n"
+    assert run(capsys, KEYRATE_ARGS + ["--detector", "calorimeter"]) == (3, "", err)
+    mc = {"mu": 0.05, "eta": 0.3, "detector": "threshold", "mode": "dump"}
+    code, _, err = run_config(tmp_path, capsys, "mc-validate", mc)
+    assert (code, err) == (3, "slowqkd: error: mode must be one of standard, beamdump, got 'dump'\n")
+    flags = [tok for key, value in mc.items() for tok in ("--" + key, str(value))]
+    assert run(capsys, ["mc-validate", *flags]) == (3, "", err)
+
+
+def test_help_names_the_enum_choices(capsys):
+    assert "--detector {pnr,threshold}" in run(capsys, ["keyrate", "--help"])[1]
+    assert "--mode {standard,beamdump}" in run(capsys, ["mc-validate", "--help"])[1]
 
 
 def run_config(tmp_path, capsys, cmd, cfg):
@@ -413,6 +428,37 @@ def test_out_writes_file_not_stdout(tmp_path, capsys):
     text = out_path.read_text()
     assert text.startswith(RATE_HEADER + "\n")
     assert text.endswith("\n")
+
+
+def test_out_naming_a_directory_is_exit_3_and_cleans_up(tmp_path, capsys):
+    """os.replace onto a directory fails after the temp file is written: the
+    write unlinks it and re-raises, and the directory is left as it was."""
+    target = tmp_path / "results"
+    target.mkdir()
+    (target / "kept.csv").write_text("x\n")
+    code, out, err = run(capsys, KEYRATE_ARGS + ["--out", str(target)])
+    assert (code, out) == (3, "")
+    assert "Is a directory" in err
+    assert [q.name for q in target.iterdir()] == ["kept.csv"]
+    assert (target / "kept.csv").read_text() == "x\n"
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["results"]  # no .slowqkd-*.tmp
+
+
+def test_mc_validate_out_of_memory_is_exit_3_naming_M_L(tmp_path, monkeypatch, capsys):
+    """A sequence of M*L slots too large to allocate is a domain error, not a
+    traceback.  The allocation is stood in for: a real one could be killed
+    by the kernel instead of raising."""
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.delenv("QKD_THREADS", raising=False)
+    monkeypatch.setattr(montecarlo, "_arrivals", no_memory)
+    out_path = tmp_path / "mc.csv"
+    code, out, err = run(capsys, ["mc-validate", "--mu", "1e-3", "--eta", "0.1", "--M", "100000",
+                                  "--L", "100000", "--trials", "1", "--out", str(out_path)])
+    assert (code, out) == (3, "")
+    assert err == "slowqkd: error: out of memory at M*L = 10000000000 slots\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_run_leaves_no_partial_file(tmp_path, capsys):

@@ -107,6 +107,17 @@ def test_binary_entropy_rejects_out_of_range():
         binary_entropy(1.01)
 
 
+@pytest.mark.parametrize(
+    "e,M,needle",
+    [(0.5, 2.5, "M must be an integer"), (0.5, True, "M must be an integer"),
+     (0.5, 2.0, "M must be an integer"), (0.5, 0, "M must be an integer >= 1"),
+     (-0.1, 2, "e_src"), (1.1, 2, "e_src"), (math.nan, 2, "e_src")],
+)
+def test_e_src_slow_refuses_a_non_count_M_and_e_outside_0_1(e, M, needle):
+    with pytest.raises(ValueError, match=needle):
+        e_src_slow(e, M)
+
+
 @given(st.floats(0.0, 1.0))
 def test_binary_entropy_symmetric(x):
     assert binary_entropy(x) == pytest.approx(binary_entropy(1.0 - x), abs=1e-12)
@@ -354,13 +365,13 @@ def test_key_rate_dead_time_only_rescales():
 @pytest.mark.parametrize("detector", list(Detector))
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_clamped_rate_is_key_rate_G_bit_for_bit(detector, data):
-    """The optimizer's refinement reads G from the model; it must be the
-    G of ``key_rate`` at the same point exactly, whatever mu and nu_th the
-    base carries."""
+def test_scalar_model_G_is_key_rate_G_bit_for_bit(detector, data):
+    """The optimizer's refinement reads G from the scalar model; it must be
+    the G of ``key_rate`` at the same point exactly, whatever mu and nu_th
+    the base carries."""
     p = data.draw(protocol_params(detector=detector))
     base = replace(p, mu=MU_MAX, nu_th=p.L - 1)
-    assert keyrate._clamped_rate(base, p.mu, p.nu_th) == key_rate(p).G
+    assert keyrate._model(_SCALAR, base, p.mu, p.nu_th)[-1] == key_rate(p).G
 
 
 # The model computes every value at every point: where Q = 0, and where
@@ -392,7 +403,7 @@ def test_points_without_key_run_the_whole_model(p, want):
     assert not bound and G == 0.0
     assert Q == 0.0 or emb > Q and eph < 0.0
     base = replace(p, mu=MU_MAX, nu_th=p.L - 1)
-    assert keyrate._clamped_rate(base, p.mu, p.nu_th) == key_rate(p).G == 0.0
+    assert keyrate._model(_SCALAR, base, p.mu, p.nu_th)[-1] == key_rate(p).G == 0.0
     assert rate_grid(p, [p.mu], [p.nu_th])[0, 0] == 0.0
 
 
@@ -505,6 +516,11 @@ def test_integer_fields_refuse_anything_but_integers(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
         ProtocolParams(**kwargs)
+
+
+def test_detector_must_be_a_Detector_not_its_value():
+    with pytest.raises(ValueError, match="detector must be a Detector"):
+        ProtocolParams(mu=0.01, nu_th=1, eta=0.1, detector="pnr")
 
 
 def test_numpy_integer_fields_are_integers():

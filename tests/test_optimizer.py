@@ -55,6 +55,23 @@ def test_mu_grid_density_scaling():
     assert len(mu_grid(40)) == 241
 
 
+@pytest.mark.parametrize("ppd", [2.5, 20.0, True, np.float64(20.0), "20"])
+def test_mu_grid_refuses_a_non_integer_density(ppd):
+    """Each refusal runs in the cached body: with ``typed=True`` a whole
+    float or a bool never hits the entry that 20 or 1 left in the cache."""
+    for cached in (20, 1):
+        mu_grid(cached)
+    with pytest.raises(ValueError, match="points_per_decade must be an integer"):
+        mu_grid(ppd)
+    with pytest.raises(ValueError, match="points_per_decade must be an integer"):
+        optimize_point(BASE, eta=0.01, M=1, points_per_decade=ppd)
+
+
+def test_mu_grid_is_one_cached_tuple():
+    assert isinstance(mu_grid(), tuple) and mu_grid(20) is mu_grid(20)
+    assert mu_grid(np.int64(20)) == mu_grid(20)
+
+
 def test_optimum_reproduces_its_own_rate():
     o = optimize_point(BASE, eta=0.01, M=1)
     again = key_rate(replace(BASE, mu=o.mu_opt, nu_th=o.nu_th_opt, eta=0.01, M=1))
@@ -138,8 +155,8 @@ _CANONICAL = [
 def test_one_grid_pass_and_refinement_through_the_stages(monkeypatch, base, eta, Ms):
     """Each point grids its keyed rows once, in chunks, each with its cached
     tagged-fraction table, and refines three rows by golden section through
-    ``_clamped_rate`` (2 + 32 evaluations each, 102 in all); ``key_rate`` is
-    called once, for the result."""
+    the scalar ``_model`` (2 + 32 evaluations each, 102 in all); ``key_rate``
+    is called once, for the result."""
     calls = {"rows": [], "refine": 0, "key_rate": 0}
 
     def grid(p, mu, nu_th, tagged):
@@ -149,14 +166,14 @@ def test_one_grid_pass_and_refinement_through_the_stages(monkeypatch, base, eta,
 
     def refine(*args):
         calls["refine"] += 1
-        return keyrate._clamped_rate(*args)
+        return keyrate._model(*args)
 
     def final(p):
         calls["key_rate"] += 1
         return key_rate(p)
 
     monkeypatch.setattr(optimizer, "rate_grid", grid)
-    monkeypatch.setattr(optimizer, "_clamped_rate", refine)
+    monkeypatch.setattr(optimizer, "_model", refine)
     monkeypatch.setattr(optimizer, "key_rate", final)
     keyed = keyrate._keyed_rows(base)
     chunk = max(1, optimizer._GRID_CELLS // len(mu_grid()))
@@ -171,7 +188,7 @@ def test_one_grid_pass_and_refinement_through_the_stages(monkeypatch, base, eta,
 
 
 def _clear_sweep_caches() -> None:
-    for cached in (optimizer._tagged_chunk, optimizer._grid, keyrate._x_star):
+    for cached in (optimizer._tagged_chunk, optimizer.mu_grid, keyrate._x_star):
         cached.cache_clear()
 
 
@@ -350,6 +367,11 @@ def test_optimize_with_M_beats_each_candidate():
     for M in cands:
         assert best.result.G >= optimize_point(BASE, eta=1e-3, M=M).result.G
     assert best.M in cands
+
+
+def test_optimize_with_M_refuses_no_candidates():
+    with pytest.raises(ValueError, match="M_candidates must be non-empty"):
+        optimize_with_M(BASE, 1e-3, ())
 
 
 def test_optimize_with_M_dead_channel_prefers_smallest_M():
