@@ -205,6 +205,8 @@ def e_src_slow(e_src_block: float, M: int) -> float:
         raise ValueError(f"e_src must be within [0, 1], got {e_src_block}")
     if M < 1:
         raise ValueError(f"M must be an integer >= 1, got {M}")
+    if M > _FLOAT_MAX:
+        raise ValueError(f"M must not exceed {_FLOAT_MAX:.4g}, got M = {M}")
     return _e_src_slow(_SCALAR, e_src_block, M)
 
 

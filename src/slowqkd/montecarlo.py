@@ -32,11 +32,16 @@ Poisson emissions, the eta thinning and the mode's photon splits (valid
 slot and error, or the two beam-dump detectors), then the standard mode's
 correct detector, dark counts and dark detector, or the beam dump's two
 dark counts.  The Poisson, every uniform ``random`` and both
-``integers(0, 2)`` take a value at every slot; each binomial runs over the
-slots with photons only, as numpy's binomial draws nothing at n = 0.  The
-sifts then work on a list of the slots that hold an event, through (count,
-M) per-block sums, so a chunk's work beyond those full-size draws grows
-with its events, not its slots.
+``integers(0, 2)`` take a value at every slot, in consecutive calls on
+pieces of ``_PIECE`` slots, which numpy fills from the stream as it fills
+one call.  Of each piece a chunk keeps what the later steps read: the slots
+that hold emissions or dark counts, with their values, and the correct
+detector at one bit per slot.  Each binomial runs over the slots with
+photons only, as numpy's binomial draws nothing at n = 0.  The sifts then
+work on a list of the slots that hold an event, through (count, M)
+per-block sums.  So a chunk's memory follows its events, its blocks and
+one piece, plus an eighth of a byte per slot; only its time grows with
+every slot.
 """
 
 from __future__ import annotations
@@ -126,16 +131,50 @@ def binomial_stderr(k: int, n: int) -> float:
 # events and sifting: a chunk's slots are numbered in C order over (sequence, block, pulse)
 
 
+_PIECE = 1 << 16  # slots per call of a full-size draw: a multiple of 8, so packed bits join
+
+
+def _pieces(size: int, keep, draw, *args) -> list:
+    """``keep(start, values)`` of each piece of ``draw(*args, size=size)``,
+    taken as consecutive calls on pieces of at most ``_PIECE`` slots from
+    ``start`` on.  numpy fills consecutive calls from the stream as it fills
+    one, so the values and the generator state after the last piece are
+    those of the single call.  A piece goes as soon as ``keep`` returns,
+    before the next is drawn: with two alive, the allocator hands the pair
+    back after every draw and faults it in again for the next."""
+    return [keep(start, draw(*args, size=min(_PIECE, size - start)))
+            for start in range(0, size, _PIECE)]
+
+
+def _nonzero(start: int, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of a piece from ``start`` that hold a nonzero count, and the counts."""
+    slots = np.flatnonzero(n)
+    return slots + start, n[slots]
+
+
 def _arrivals(p: ProtocolParams, rng: np.random.Generator,
               size: int) -> tuple[np.ndarray, np.ndarray]:
     """The ascending slots that photons reach Bob in, and how many reach him
-    in each: Poisson(mu) emitted per slot, each kept with probability eta."""
-    n_bob = rng.poisson(p.mu, size)  # emitted
-    slots = np.flatnonzero(n_bob)
-    n_bob = n_bob[slots]  # the full-size array goes before the binomial
-    n_bob = rng.binomial(n_bob, p.eta)
-    slots = slots[n_bob > 0]  # the old slots go before n_bob is cut
-    return slots, n_bob[n_bob > 0]
+    in each: Poisson(mu) emitted per slot, each kept with probability eta.
+    The emissions stay in their pieces through the thinning, one binomial
+    call per piece, so only the arrivals are ever joined."""
+    slots, n_bob = map(list, zip(*_pieces(size, _nonzero, rng.poisson, p.mu)))  # emitted
+    for i, n in enumerate(n_bob):
+        n = rng.binomial(n, p.eta)
+        slots[i], n_bob[i] = slots[i][n > 0], n[n > 0]
+    slots = np.concatenate(slots)  # its pieces go before n_bob's are joined
+    return slots, np.concatenate(n_bob)
+
+
+def _dark(p: ProtocolParams, rng: np.random.Generator, size: int) -> list[np.ndarray]:
+    """The ascending slots a dark count fires in (a uniform below d_c), one
+    array per piece."""
+    return _pieces(size, lambda start, u: start + np.flatnonzero(u < p.d_c), rng.random)
+
+
+def _bits(packed: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The bits at ``slots`` of an array that ``np.packbits`` packed little-endian."""
+    return (packed[slots >> 3] >> (slots & 7).astype(np.uint8) & 1).astype(bool)
 
 
 def _block_sums(p: ProtocolParams, count: int, slots: np.ndarray, weights=None) -> np.ndarray:
@@ -168,9 +207,14 @@ def _sift_standard(p: ProtocolParams, rng: np.random.Generator, count: int,
     size = count * p.M * p.L
     n_valid = rng.binomial(n_bob, 0.5)
     n_wrong = rng.binomial(n_valid, p.e_sys)  # draws nothing at e_sys = 0
-    correct_det = rng.integers(0, 2, size) == 1
-    dark = np.flatnonzero(rng.random(size) < p.d_c)
-    dark_wrong = (rng.integers(0, 2, size)[dark] == 1) != correct_det[dark]
+    # one bit per slot: the slots it is read at are known only after the dark counts
+    correct_det = np.concatenate(_pieces(
+        size, lambda _, bit: np.packbits(bit == 1, bitorder="little"), rng.integers, 0, 2))
+    dark = _dark(p, rng, size)
+    dark_det = np.concatenate(_pieces(
+        size, lambda start, bit: bit[dark[start // _PIECE] - start] == 1, rng.integers, 0, 2))
+    dark = np.concatenate(dark)
+    dark_wrong = dark_det != _bits(correct_det, dark)
     right, errs = n_valid > n_wrong, n_wrong > 0  # each part is cut to its events before they join
     n = np.concatenate(((n_valid - n_wrong)[right], n_wrong[errs], np.ones(len(dark), np.int64)))
     del n_valid, n_wrong  # the full-size counts go before the slots are cut
@@ -181,7 +225,7 @@ def _sift_standard(p: ProtocolParams, rng: np.random.Generator, count: int,
         first = _first_block(counts > 0)
         accepted = counts[first] == 1
         return accepted, accepted & (_block_sums(p, count, slot[wrong], n[wrong])[first] == 1)
-    on1 = correct_det[slot] != wrong  # the detector an entry's events land on
+    on1 = _bits(correct_det, slot) != wrong  # the detector an entry's events land on
     k0, k1 = _block_sums(p, count, slot[~on1]) > 0, _block_sums(p, count, slot[on1]) > 0
     first = _first_block(k0 | k1)
     accepted = k0[first] ^ k1[first]
@@ -208,8 +252,8 @@ def _sift_beamdump(p: ProtocolParams, rng: np.random.Generator, count: int,
     hit_a = n > 0
     hit_b = rng.binomial(np.subtract(n_bob, n, out=n), 1.0 / 3.0) > 0
     del n  # before the full-size dark-count draws
-    dark_a = np.flatnonzero(rng.random(size) < p.d_c)
-    dark_b = np.flatnonzero(rng.random(size) < p.d_c)
+    dark_a = np.concatenate(_dark(p, rng, size))
+    dark_b = np.concatenate(_dark(p, rng, size))
     a = _block_sums(p, count, np.append(slots[hit_a], dark_a)) > 0
     b = _block_sums(p, count, np.append(slots[hit_b], dark_b)) > 0
     first = _first_block(a | b)

@@ -5,9 +5,10 @@ Each case gives every option of ``keyrate``, ``curve``, ``optimize``,
 left out or takes an out-of-range, non-finite or wrongly typed value.
 Each value goes in as a flag or in a JSON config.  L stays small,
 ``--eta-points`` at most 3, the M lists short and ``--trials`` at most 200;
-``mc-validate`` keeps M <= 10 and L <= 16, since a chunk's full-size draws
-(the Poisson emissions, the uniforms) take one value per slot, at least
-M*L per sequence.  One case costs milliseconds.
+``mc-validate`` keeps M <= 10 and L <= 16 for time: a chunk's full-size
+draws (the Poisson emissions, the uniforms) take one value per slot, at
+least M*L per sequence.  Memory would allow more, as the draws are taken a
+piece at a time.  One case costs milliseconds.
 """
 
 import io

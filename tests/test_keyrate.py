@@ -111,7 +111,8 @@ def test_binary_entropy_rejects_out_of_range():
     "e,M,needle",
     [(0.5, 2.5, "M must be an integer"), (0.5, True, "M must be an integer"),
      (0.5, 2.0, "M must be an integer"), (0.5, 0, "M must be an integer >= 1"),
-     (-0.1, 2, "e_src"), (1.1, 2, "e_src"), (math.nan, 2, "e_src")],
+     (-0.1, 2, "e_src"), (1.1, 2, "e_src"), (math.nan, 2, "e_src"),
+     pytest.param(0.5, 10**400, "M must not exceed", id="M=1e400")],  # was an OverflowError
 )
 def test_e_src_slow_refuses_a_non_count_M_and_e_outside_0_1(e, M, needle):
     with pytest.raises(ValueError, match=needle):

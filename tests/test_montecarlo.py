@@ -142,7 +142,9 @@ def _workload_point(lam, eta, M, detector, mode=McMode.STANDARD):
 @example(config=_workload_point(1.0, 0.3, 1, Detector.THRESHOLD, McMode.BEAM_DUMP), count=7812, seed=5)
 def test_event_list_chunk_equals_the_dense_engine(config, count, seed):
     """The event list takes the dense engine's draws from the same substream,
-    so every counter is equal, not just alike in distribution."""
+    so every counter is equal, not just alike in distribution.  The workload
+    examples hold 7 to 16 of the event list's pieces of ``_PIECE`` slots,
+    the last one partial; the drawn configurations hold one or a few."""
     p, mode = config
     count = min(count, max(1, 1_000_000 // (p.M * p.L)))
     assert _chunk(p, mode, rng=substream(seed, (0,)), count=count) == \
@@ -164,6 +166,52 @@ def test_a_binomial_at_n_zero_draws_nothing(p):
         assert full.random() == nonzero.random()
 
 
+_BINOMIAL_N = np.random.default_rng(1).integers(0, 300, 1001)
+
+
+@pytest.mark.parametrize("take", [
+    lambda rng, a, b: rng.poisson(0.7, b - a),
+    lambda rng, a, b: rng.poisson(15.0, b - a),
+    lambda rng, a, b: rng.random(b - a),
+    lambda rng, a, b: rng.integers(0, 2, b - a),
+    lambda rng, a, b: rng.binomial(_BINOMIAL_N[a:b], 0.3),
+], ids=["poisson", "poisson-rejection", "random", "integers", "binomial"])
+def test_a_draw_in_consecutive_pieces_is_one_draw(take):
+    """The premise of ``montecarlo._pieces``: numpy fills consecutive calls
+    from the stream as it fills one call, so a draw of slots [0, 1001) split
+    into uneven pieces has the one call's values and leaves the generator in
+    the same state.  Odd piece sizes leave half of a 64-bit output over for
+    ``integers``; mu = 15 takes the Poisson's rejection branch; the binomial
+    is split over an array of n, as the arrivals are thinned piece by piece."""
+    cuts = [0, 7, 500, 501, 1001]
+    full, pieces = np.random.default_rng(17), np.random.default_rng(17)
+    values = take(full, 0, 1001)
+    split = [take(pieces, a, b) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(values, np.concatenate(split))
+    assert full.random() == pieces.random()
+
+
+@pytest.mark.parametrize("detector,mode", [(Detector.PNR, McMode.STANDARD),
+                                           (Detector.THRESHOLD, McMode.STANDARD),
+                                           (Detector.THRESHOLD, McMode.BEAM_DUMP)])
+def test_one_sequence_of_1e7_slots_stays_small(detector, mode):
+    """One sequence of M = 10^5 blocks at L = 128 (1.28e7 slots, a chunk of
+    196 pieces) under tracemalloc (MB = 2^20 bytes; numpy 2.4.6).  Each of
+    its full-size draws alone is 97.7 MB at 8 bytes per slot, and taking
+    each draw in one call peaked at 122 MB (110 MB in beam dump).  Taken a
+    piece at a time they leave 3.1-3.8 MB (1.0 MB): the correct detector's
+    bits, 1.5 MB joined from their pieces, and the (count, M) block sums.
+    The bound is 8 MB."""
+    p = ProtocolParams(mu=1e-5, nu_th=0, eta=1.0, M=10**5, L=128, d_c=1e-6, detector=detector)
+    tracemalloc.start()
+    try:
+        _chunk(p, mode, rng=substream(3, (0,)), count=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
 @pytest.mark.parametrize("detector,mode", [(Detector.PNR, McMode.STANDARD),
                                            (Detector.THRESHOLD, McMode.STANDARD),
                                            (Detector.THRESHOLD, McMode.BEAM_DUMP)])
@@ -172,11 +220,12 @@ def test_a_chunk_of_a_million_slots_stays_small(detector, mode):
     tracemalloc (MB = 2^20 bytes; numpy 2.4.6).  ``oracles.dense_chunk``
     peaks at 63.0 MB (33.4 MB in beam dump) at any mu.
 
-    At lambda = 1 per block the event list peaks at 9.8-10.5 MB (8.7 MB),
-    most of it the full-size draws; the bound is 32 MB.  At mu = 5 per slot,
-    where nearly every slot holds photons and the slot list is as long as
-    the chunk, it peaks at 49.1 MB (PNR), 50.2 MB (threshold) and 32.2 MB
-    (beam dump); the bound is the dense engine's peak.  Joining the standard
+    At lambda = 1 per block the event list peaks at 0.9-1.7 MB (0.7 MB),
+    with its full-size draws taken a piece at a time (9.8-10.5 MB and 8.7 MB
+    when each was one call); the bound is 32 MB.  At mu = 5 per slot, where
+    nearly every slot holds photons and the slot list is as long as the
+    chunk, it peaks at 48.2 MB (PNR), 49.4 MB (threshold) and 32.2 MB (beam
+    dump); the bound is the dense engine's peak.  Joining the standard
     sift's three entry lists at full size before dropping the empty entries,
     and holding the emissions and both detectors' photon counts through
     the later draws, had taken it to 81.4 MB (41.3 MB)."""
