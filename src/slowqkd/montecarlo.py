@@ -34,14 +34,26 @@ correct detector, dark counts and dark detector, or the beam dump's two
 dark counts.  The Poisson, every uniform ``random`` and both
 ``integers(0, 2)`` take a value at every slot, in consecutive calls on
 pieces of ``_PIECE`` slots, which numpy fills from the stream as it fills
-one call.  Of each piece a chunk keeps what the later steps read: the slots
-that hold emissions or dark counts, with their values, and the correct
-detector at one bit per slot.  Each binomial runs over the slots with
-photons only, as numpy's binomial draws nothing at n = 0.  The sifts then
-work on a list of the slots that hold an event, through (count, M)
-per-block sums.  So a chunk's memory follows its events, its blocks and
-one piece, plus an eighth of a byte per slot; only its time grows with
-every slot.
+one call.  Two of them are read from the stream below numpy's call, with
+its values and generator state:
+
+* the Poisson, for 0 < mu <= ``_WALK_MU``: numpy reads uniforms there, the
+  doubles ``random`` returns, one per empty slot, so ``_poisson_walk``
+  takes them in one ``random`` call and walks only those of the slots that
+  hold photons.  mu = 0 and larger mu keep ``rng.poisson``;
+* both ``integers(0, 2)``: numpy returns the top bit of each 32-bit half
+  of a 64-bit output, so ``_coins`` takes two values from each of the
+  ``random_raw`` outputs.
+
+Of each piece a chunk keeps what the later steps read: the slots that hold
+emissions or dark counts, with their values, and the correct detector at
+one bit per slot.  Each binomial runs over the slots with photons only, as
+numpy's binomial draws nothing at n = 0.  The sifts then work on a list of
+the slots that hold an event, through (count, M) per-block sums.  So a
+chunk's memory follows its events, its blocks and one piece, plus an
+eighth of a byte per slot; only its time grows with every slot, in a
+sparse chunk at the cost of reading three 64-bit outputs a slot (a uniform
+each for the emissions and the dark counts, half of one a coin).
 """
 
 from __future__ import annotations
@@ -133,23 +145,100 @@ def binomial_stderr(k: int, n: int) -> float:
 
 _PIECE = 1 << 16  # slots per call of a full-size draw: a multiple of 8, so packed bits join
 
+# Up to where ``_poisson_walk`` costs less than ``rng.poisson`` on a piece: the walk's time grows
+# with the emissions, numpy's with the slots.  Walk/poisson time is 0.60 at mu = 0.01, 0.85 at
+# 0.02 and 1.04 at 0.03 (median of 60 alternating pairs, numpy 2.4.6, 2 vCPUs).
+_WALK_MU = 0.025
+
 
 def _pieces(size: int, keep, draw, *args) -> list:
     """``keep(start, values)`` of each piece of ``draw(*args, size=size)``,
     taken as consecutive calls on pieces of at most ``_PIECE`` slots from
     ``start`` on.  numpy fills consecutive calls from the stream as it fills
     one, so the values and the generator state after the last piece are
-    those of the single call.  A piece goes as soon as ``keep`` returns,
-    before the next is drawn: with two alive, the allocator hands the pair
-    back after every draw and faults it in again for the next."""
+    those of the single call; ``_emissions`` and ``_coins`` keep that
+    promise for the draws they stand in for.  A piece goes as soon as
+    ``keep`` returns, before the next is drawn: with two alive, the
+    allocator hands the pair back after every draw and faults it in again
+    for the next."""
     return [keep(start, draw(*args, size=min(_PIECE, size - start)))
             for start in range(0, size, _PIECE)]
 
 
-def _nonzero(start: int, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The slots of a piece from ``start`` that hold a nonzero count, and the counts."""
+def _emissions(rng: np.random.Generator, mu: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of ``rng.poisson(mu, size)`` that hold a nonzero count, and
+    the counts, with that call's generator state: from ``_poisson_walk`` for
+    0 < mu <= ``_WALK_MU``, else from numpy, which reads nothing at mu = 0
+    and above the bound costs less than the walk."""
+    if 0.0 < mu <= _WALK_MU:
+        return _poisson_walk(rng, mu, size)
+    n = rng.poisson(mu, size)
     slots = np.flatnonzero(n)
-    return slots + start, n[slots]
+    return slots, n[slots]
+
+
+def _poisson_walk(rng: np.random.Generator, mu: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_emissions`` for 0 < mu < 10, from the uniforms numpy's Poisson reads.
+
+    There numpy counts a slot's photons by multiplying uniforms, the doubles
+    ``rng.random`` returns, until the product falls to e^-mu or below: a
+    slot reads its count plus one.  The walk takes those uniforms in one
+    ``random`` call and steps only through the rare ones above e^-mu, each
+    the first of a slot that holds photons.  A slot that reads more than one
+    shifts the rest of the draw, so the walk draws again for the slots still
+    owed.  Each of them reads at least one, so it never draws ahead of
+    numpy; a slot still open when a draw runs out reads on in the next.
+    Its time grows with the slots at one uniform each, plus a few hundred
+    ns per emission."""
+    floor = math.exp(-mu)  # numpy's exp(-lam)
+    slots, counts = [], []
+    done, x, prod = 0, 0, 1.0  # slots finished; slot ``done``'s count so far, and its product
+    while done < size:
+        u = rng.random(size - done)
+        m = len(u)
+        hits = np.flatnonzero(u > floor)
+        # a hit whose next uniform takes the product to floor opens a one-photon slot
+        one = (u[hits] * u[np.minimum(hits + 1, m - 1)] <= floor) & (hits < m - 1)
+        pos = 0  # the next uniform, which slot ``done`` reads
+        for h, single in zip([*hits.tolist(), m], [*one.tolist(), False]):  # m: the slots after
+            while x and pos < m:  # slot ``done`` reads on until its product falls to floor
+                prod *= u[pos]
+                pos += 1
+                if prod > floor:
+                    x += 1
+                else:
+                    slots.append(done)
+                    counts.append(x)
+                    done, x, prod = done + 1, 0, 1.0
+            if h < pos:  # read by an earlier slot, or by one still open
+                continue
+            done += h - pos  # the empty slots before h
+            if single:
+                slots.append(done)
+                counts.append(1)
+                done, pos = done + 1, h + 2
+            elif h < m:
+                x, prod, pos = 1, u[h], h + 1
+    return np.array(slots, np.int64), np.array(counts, np.int64)
+
+
+def _coins(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``rng.integers(0, 2, size) == 1``, with that call's generator state.
+
+    For a range of 2 numpy returns the top bit of a 32-bit half of a 64-bit
+    PCG64 output (the generator ``substream`` makes), the low half first,
+    and keeps the high half for the next value (``has_uint32`` in the
+    generator's state).  So the values between a buffered half and the
+    last one or two come from the raw outputs, two a word; those ends go
+    through ``integers``, which takes up the buffered half and leaves the
+    one numpy leaves."""
+    head = min(size, rng.bit_generator.state["has_uint32"])
+    pairs = max(size - head - 1, 0) // 2
+    first = rng.integers(0, 2, head) == 1
+    words = rng.bit_generator.random_raw(pairs)
+    last = rng.integers(0, 2, size - head - 2 * pairs) == 1
+    mid = np.stack(((words & 1 << 31) != 0, words >= 1 << 63), axis=1).ravel()  # bits 31, 63
+    return np.concatenate((first, mid, last))
 
 
 def _arrivals(p: ProtocolParams, rng: np.random.Generator,
@@ -158,7 +247,8 @@ def _arrivals(p: ProtocolParams, rng: np.random.Generator,
     in each: Poisson(mu) emitted per slot, each kept with probability eta.
     The emissions stay in their pieces through the thinning, one binomial
     call per piece, so only the arrivals are ever joined."""
-    slots, n_bob = map(list, zip(*_pieces(size, _nonzero, rng.poisson, p.mu)))  # emitted
+    slots, n_bob = map(list, zip(*_pieces(
+        size, lambda start, emitted: (emitted[0] + start, emitted[1]), _emissions, rng, p.mu)))
     for i, n in enumerate(n_bob):
         n = rng.binomial(n, p.eta)
         slots[i], n_bob[i] = slots[i][n > 0], n[n > 0]
@@ -208,11 +298,15 @@ def _sift_standard(p: ProtocolParams, rng: np.random.Generator, count: int,
     n_valid = rng.binomial(n_bob, 0.5)
     n_wrong = rng.binomial(n_valid, p.e_sys)  # draws nothing at e_sys = 0
     # one bit per slot: the slots it is read at are known only after the dark counts
-    correct_det = np.concatenate(_pieces(
-        size, lambda _, bit: np.packbits(bit == 1, bitorder="little"), rng.integers, 0, 2))
+    correct_det = np.empty((size + 7) // 8, np.uint8)
+
+    def pack(start: int, bit: np.ndarray) -> None:
+        correct_det[start // 8:(start + len(bit) + 7) // 8] = np.packbits(bit, bitorder="little")
+
+    _pieces(size, pack, _coins, rng)
     dark = _dark(p, rng, size)
     dark_det = np.concatenate(_pieces(
-        size, lambda start, bit: bit[dark[start // _PIECE] - start] == 1, rng.integers, 0, 2))
+        size, lambda start, bit: bit[dark[start // _PIECE] - start], _coins, rng))
     dark = np.concatenate(dark)
     dark_wrong = dark_det != _bits(correct_det, dark)
     right, errs = n_valid > n_wrong, n_wrong > 0  # each part is cut to its events before they join
@@ -220,12 +314,13 @@ def _sift_standard(p: ProtocolParams, rng: np.random.Generator, count: int,
     del n_valid, n_wrong  # the full-size counts go before the slots are cut
     slot = np.concatenate((slots[right], slots[errs], dark))
     wrong = np.concatenate((np.zeros(right.sum(), bool), np.ones(errs.sum(), bool), dark_wrong))
+    on1 = _bits(correct_det, slot) != wrong  # the detector an entry's events land on (threshold)
+    del correct_det  # its bit per slot goes before the (count, M) block sums
     if p.detector is Detector.PNR:
         counts = _block_sums(p, count, slot, n)
         first = _first_block(counts > 0)
         accepted = counts[first] == 1
         return accepted, accepted & (_block_sums(p, count, slot[wrong], n[wrong])[first] == 1)
-    on1 = _bits(correct_det, slot) != wrong  # the detector an entry's events land on
     k0, k1 = _block_sums(p, count, slot[~on1]) > 0, _block_sums(p, count, slot[on1]) > 0
     first = _first_block(k0 | k1)
     accepted = k0[first] ^ k1[first]

@@ -610,6 +610,24 @@ REFERENCE_ROWS = [
      " --trials 20000 --seed 7",
      MC_HEADER + "\n"
      "e_mB,0.021528057712758356,0.0216,0.0029354168358173595,0.024549177915716994\n"),
+    # L*eta*mu ~ 1e-3 per block, the regime of the mc_sparse benchmark: nearly every slot is empty
+    ("mc-sparse-threshold",
+     "mc-validate --mu 1e-5 --eta 0.8 --L 128 --M 1000 --detector threshold --trials 300 --seed 12",
+     MC_HEADER + "\n"
+     "Q,0.320304316620512,0.39666666666666667,0.02824430457173164,2.834661864110169\n"
+     "e_bit,0.030117590953767735,0.025210084033613446,0.014370410687695694,-0.31323100566206014\n"),
+    ("mc-no-emission",
+     "mc-validate --mu 0 --eta 0.5 --L 8 --M 10 --d-c 1e-3 --trials 3000 --seed 3",
+     MC_HEADER + "\n"
+     "Q,0.07451850171561065,0.08466666666666667,0.005082591931361472,2.116567959244929\n"
+     "e_bit,0.5,0.5236220472440944,0.03133775859433036,0.7529469661657903\n"),
+    # one chunk of 5001 * 21 slots: an odd count of detector coins
+    ("mc-odd-slots",
+     "mc-validate --mu 0.02 --eta 0.3 --L 7 --M 3 --d-c 1e-3 --detector threshold --trials 5001"
+     " --seed 13",
+     MC_HEADER + "\n"
+     "Q,0.07705516895928743,0.07938412317536493,0.003822765245968359,0.617590516930905\n"
+     "e_bit,0.15123996992479413,0.1486146095717884,0.0178524816691444,-0.14600187222214325\n"),
     ("attack-default", "attack --trials 200000 --seed 11",
      ATTACK_HEADER + "\n"
      "0.99,100,10000,99,1,200000,0.0036972963764972675,0.003625,0.00013438488335746696,9802.36781,"

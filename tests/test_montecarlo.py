@@ -140,11 +140,22 @@ def _workload_point(lam, eta, M, detector, mode=McMode.STANDARD):
 @example(config=_workload_point(0.25, 0.02, 1, Detector.PNR), count=7812, seed=3)
 @example(config=_workload_point(2.0, 1.0, 1, Detector.THRESHOLD), count=7812, seed=4)
 @example(config=_workload_point(1.0, 0.3, 1, Detector.THRESHOLD, McMode.BEAM_DUMP), count=7812, seed=5)
+@example(config=(ProtocolParams(mu=montecarlo._WALK_MU, nu_th=0, eta=0.3, M=1, L=128, e_sys=0.03,
+                                d_c=1e-3, detector=Detector.THRESHOLD), McMode.STANDARD),
+         count=7812, seed=6)
+@example(config=(ProtocolParams(mu=0.02, nu_th=0, eta=0.3, M=3, L=7, e_sys=0.03, d_c=1e-3,
+                                detector=Detector.PNR), McMode.STANDARD), count=5001, seed=7)
+@example(config=(ProtocolParams(mu=0.02, nu_th=0, eta=0.3, M=3, L=7, e_sys=0.03, d_c=1e-3,
+                                detector=Detector.THRESHOLD), McMode.BEAM_DUMP), count=5001, seed=8)
 def test_event_list_chunk_equals_the_dense_engine(config, count, seed):
     """The event list takes the dense engine's draws from the same substream,
     so every counter is equal, not just alike in distribution.  The workload
     examples hold 7 to 16 of the event list's pieces of ``_PIECE`` slots,
-    the last one partial; the drawn configurations hold one or a few."""
+    the last one partial; the drawn configurations hold one or a few.  At
+    mu = ``_WALK_MU`` each of 16 pieces holds about 1,600 emissions, some
+    20 of them of two photons or more, which the walk takes in
+    ``_emissions``; the odd count of 5001 sequences of 21 slots leaves the
+    coins of a chunk an odd number."""
     p, mode = config
     count = min(count, max(1, 1_000_000 // (p.M * p.L)))
     assert _chunk(p, mode, rng=substream(seed, (0,)), count=count) == \
@@ -191,6 +202,70 @@ def test_a_draw_in_consecutive_pieces_is_one_draw(take):
     assert full.random() == pieces.random()
 
 
+def _same_emissions(draw, mu: float, size: int, seed: int) -> np.ndarray:
+    """Assert that ``draw(rng, mu, size)`` gives the nonzero slots and counts
+    of ``rng.poisson(mu, size)`` and leaves the generator in its state; the
+    Poisson values."""
+    numpy_rng, ours = np.random.default_rng(seed), np.random.default_rng(seed)
+    values = numpy_rng.poisson(mu, size)
+    slots, counts = draw(ours, mu, size)
+    assert slots.tolist() == np.flatnonzero(values).tolist()
+    assert counts.tolist() == values[values > 0].tolist()
+    assert ours.bit_generator.state == numpy_rng.bit_generator.state
+    return values
+
+
+@pytest.mark.parametrize("mu", [1e-6, 1e-3, montecarlo._WALK_MU, 0.03, 2.0])
+def test_emissions_are_numpys_poisson(mu):
+    """The premise of ``montecarlo._emissions``: on both sides of ``_WALK_MU``
+    a piece and a half of slots (2^16 + 2^15) hold numpy's Poisson values,
+    from the stream numpy reads.  At the bound about 2,500 slots of a piece
+    hold photons and some 30 of them two or more."""
+    values = _same_emissions(montecarlo._emissions, mu, 3 << 15, 5)
+    if mu == montecarlo._WALK_MU:
+        assert (values >= 2).sum() > 10
+
+
+@pytest.mark.parametrize("mu,size,seed", [
+    (1e-6, 1, 3), (0.3, 17, 4), (0.7, 1000, 5), (2.5, 500, 6), (5.0, 64, 7), (9.9, 300, 8),
+    (9.9, 1, 9),
+])
+def test_the_walk_reads_numpys_uniforms_below_mu_10(mu, size, seed):
+    """``_poisson_walk`` is exact at any mu < 10, where numpy multiplies
+    uniforms; above ``_WALK_MU`` it is only slower than numpy.  From mu = 0.3
+    on slots hold two photons or more, and the first draw of ``size``
+    uniforms runs out inside a slot, which then reads on in the next draw
+    (the uniforms each slot reads, its count plus one, sum past ``size``
+    without meeting it)."""
+    values = _same_emissions(montecarlo._poisson_walk, mu, size, seed)
+    if mu >= 0.3:
+        ends = np.cumsum(values + 1)
+        assert values.max() >= 2 and size not in ends and ends[-1] > size
+
+
+def test_no_emission_draws_nothing():
+    """At mu = 0 numpy's Poisson reads no uniform, and neither do the emissions."""
+    rng = np.random.default_rng(2)
+    slots, counts = montecarlo._emissions(rng, 0.0, 1 << 16)
+    assert len(slots) == len(counts) == 0
+    assert rng.bit_generator.state == np.random.default_rng(2).bit_generator.state
+
+
+@pytest.mark.parametrize("sizes", [(6, 10), (7, 10), (7, 9), (1, 1), (1, 0, 2),
+                                   (3 << 15, 65537, 5)])
+def test_coins_are_numpys_integers(sizes):
+    """The premise of ``montecarlo._coins``: consecutive calls give the values
+    of ``integers(0, 2)`` and leave the generator in its state.  After an odd
+    count the next call starts from the half of a 64-bit output numpy keeps;
+    a uniform between the calls reads a whole output and leaves that half."""
+    numpy_rng, ours = np.random.default_rng(11), np.random.default_rng(11)
+    for size in sizes:
+        want = numpy_rng.integers(0, 2, size) == 1
+        assert montecarlo._coins(ours, size).tolist() == want.tolist()
+        assert ours.bit_generator.state == numpy_rng.bit_generator.state
+        assert ours.random() == numpy_rng.random()
+
+
 @pytest.mark.parametrize("detector,mode", [(Detector.PNR, McMode.STANDARD),
                                            (Detector.THRESHOLD, McMode.STANDARD),
                                            (Detector.THRESHOLD, McMode.BEAM_DUMP)])
@@ -199,8 +274,11 @@ def test_one_sequence_of_1e7_slots_stays_small(detector, mode):
     196 pieces) under tracemalloc (MB = 2^20 bytes; numpy 2.4.6).  Each of
     its full-size draws alone is 97.7 MB at 8 bytes per slot, and taking
     each draw in one call peaked at 122 MB (110 MB in beam dump).  Taken a
-    piece at a time they leave 3.1-3.8 MB (1.0 MB): the correct detector's
-    bits, 1.5 MB joined from their pieces, and the (count, M) block sums.
+    piece at a time they leave 2.2-2.9 MB (1.0 MB): the correct detector's
+    bits, 1.5 MB written piece by piece into one array and dropped before
+    the (count, M) block sums, and those sums.  Joining the bits from their
+    pieces, and holding them through the sums, had taken it to 3.1-3.8 MB.
+    At M = 10^6 the peaks are 16.3-16.5 MB (9.6 MB), from 30.8-31.0 MB.
     The bound is 8 MB."""
     p = ProtocolParams(mu=1e-5, nu_th=0, eta=1.0, M=10**5, L=128, d_c=1e-6, detector=detector)
     tracemalloc.start()
