@@ -284,7 +284,7 @@ def cmd_mc_validate(m: dict, out: str | None) -> None:
     cfg = _build(McConfig, m, params=_build(ProtocolParams, m, nu_th=0))
     try:
         rows = compare_to_analytic(cfg)
-    except MemoryError as exc:  # a chunk of at least M*L slots holds a bit per slot
+    except MemoryError as exc:  # a chunk of at least M*L slots holds a sum per block
         raise ValueError(f"out of memory at M*L = {cfg.params.M * cfg.params.L} slots") from exc
     _emit(out, MC_HEADER, [vars(c) for c in rows])
 

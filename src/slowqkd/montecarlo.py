@@ -34,26 +34,29 @@ correct detector, dark counts and dark detector, or the beam dump's two
 dark counts.  The Poisson, every uniform ``random`` and both
 ``integers(0, 2)`` take a value at every slot, in consecutive calls on
 pieces of ``_PIECE`` slots, which numpy fills from the stream as it fills
-one call.  Two of them are read from the stream below numpy's call, with
+one call.  Three of them are read from the stream below numpy's call, with
 its values and generator state:
 
 * the Poisson, for 0 < mu <= ``_WALK_MU``: numpy reads uniforms there, the
   doubles ``random`` returns, one per empty slot, so ``_poisson_walk``
   takes them in one ``random`` call and walks only those of the slots that
   hold photons.  mu = 0 and larger mu keep ``rng.poisson``;
+* the dark counts' uniforms: a double is the top 53 bits of a 64-bit
+  output, so ``_dark`` compares the ``random_raw`` outputs with d_c's
+  threshold there;
 * both ``integers(0, 2)``: numpy returns the top bit of each 32-bit half
-  of a 64-bit output, so ``_coins`` takes two values from each of the
-  ``random_raw`` outputs.
+  of a 64-bit output, and a chunk reads the coins only at the slots that
+  hold events, so ``_coins_at`` draws only the outputs around those slots
+  and jumps the rest with PCG64's ``advance``.
 
 Of each piece a chunk keeps what the later steps read: the slots that hold
-emissions or dark counts, with their values, and the correct detector at
-one bit per slot.  Each binomial runs over the slots with photons only, as
-numpy's binomial draws nothing at n = 0.  The sifts then work on a list of
-the slots that hold an event, through (count, M) per-block sums.  So a
-chunk's memory follows its events, its blocks and one piece, plus an
-eighth of a byte per slot; only its time grows with every slot, in a
-sparse chunk at the cost of reading three 64-bit outputs a slot (a uniform
-each for the emissions and the dark counts, half of one a coin).
+emissions or dark counts, with their values.  Each binomial runs over the
+slots with photons only, as numpy's binomial draws nothing at n = 0.  The
+sifts then work on a list of the slots that hold an event, through
+(count, M) per-block sums.  So a chunk's memory follows its events, its
+blocks and one piece; only its time grows with every slot, in a sparse
+chunk at the cost of reading two 64-bit outputs a slot (a uniform each for
+the emissions and the dark counts).
 """
 
 from __future__ import annotations
@@ -107,17 +110,13 @@ class McStats:
     ``bit_errors`` those of them read in error; ``double_counts`` counts the
     beam-dump sequences whose first clicked block holds clicks on both
     detectors.  A mode's own counters are the only ones it fills; the others
-    read 0.  ``multi_photon_blocks`` counts blocks carrying >= 2 photons at
-    Bob's input (ground truth, pre-detection); ``multi_photon_sequences``
-    counts sequences containing at least one such block.
+    read 0.
     """
 
     sequences: int
     detected: int
     bit_errors: int
     double_counts: int
-    multi_photon_blocks: int
-    multi_photon_sequences: int
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def binomial_stderr(k: int, n: int) -> float:
 # events and sifting: a chunk's slots are numbered in C order over (sequence, block, pulse)
 
 
-_PIECE = 1 << 16  # slots per call of a full-size draw: a multiple of 8, so packed bits join
+_PIECE = 1 << 16  # slots per call of a full-size draw
 
 # Up to where ``_poisson_walk`` costs less than ``rng.poisson`` on a piece: the walk's time grows
 # with the emissions, numpy's with the slots.  Walk/poisson time is 0.60 at mu = 0.01, 0.85 at
@@ -156,7 +155,7 @@ def _pieces(size: int, keep, draw, *args) -> list:
     taken as consecutive calls on pieces of at most ``_PIECE`` slots from
     ``start`` on.  numpy fills consecutive calls from the stream as it fills
     one, so the values and the generator state after the last piece are
-    those of the single call; ``_emissions`` and ``_coins`` keep that
+    those of the single call; ``_emissions`` and ``_dark`` keep that
     promise for the draws they stand in for.  A piece goes as soon as
     ``keep`` returns, before the next is drawn: with two alive, the
     allocator hands the pair back after every draw and faults it in again
@@ -222,23 +221,48 @@ def _poisson_walk(rng: np.random.Generator, mu: float, size: int) -> tuple[np.nd
     return np.array(slots, np.int64), np.array(counts, np.int64)
 
 
-def _coins(rng: np.random.Generator, size: int) -> np.ndarray:
-    """``rng.integers(0, 2, size) == 1``, with that call's generator state.
+def _coins_at(rng: np.random.Generator, size: int, at: np.ndarray) -> np.ndarray:
+    """``(rng.integers(0, 2, size) == 1)[at]``, with that call's generator state.
 
     For a range of 2 numpy returns the top bit of a 32-bit half of a 64-bit
     PCG64 output (the generator ``substream`` makes), the low half first,
     and keeps the high half for the next value (``has_uint32`` in the
-    generator's state).  So the values between a buffered half and the
-    last one or two come from the raw outputs, two a word; those ends go
-    through ``integers``, which takes up the buffered half and leaves the
-    one numpy leaves."""
-    head = min(size, rng.bit_generator.state["has_uint32"])
+    generator's state).  A buffered half at the start and the last one or
+    two values go through ``integers``, which leaves the half numpy leaves.
+    Of the words between, only those around ``at`` (any order, repeats
+    allowed) are drawn: taken ``_PIECE`` entries at a time and sorted, each
+    run of slots within a piece is one ``random_raw`` call, and PCG64's
+    ``advance`` jumps the rest, back to the first word where a run lies
+    below the last one read.  ``advance`` clears the buffered half, so it
+    never runs over zero words."""
+    bits = rng.bit_generator
+    head = min(size, bits.state["has_uint32"])
     pairs = max(size - head - 1, 0) // 2
     first = rng.integers(0, 2, head) == 1
-    words = rng.bit_generator.random_raw(pairs)
+    start, pos = bits.state, 0  # the state at the first word; the next word it reads
+    values = np.empty(len(at), bool)
+    for lo in range(0, len(at), _PIECE):
+        order = np.argsort(at[lo:lo + _PIECE])
+        half = at[lo:lo + _PIECE][order] - head  # the value's half of a word, from the first word
+        a, b = np.searchsorted(half, (0, 2 * pairs))  # the values the words hold
+        while a < b:
+            end = a + int(np.searchsorted(half[a:b], half[a] + _PIECE))  # a run within a piece
+            word = int(half[a]) // 2
+            if word < pos:
+                bits.state, pos = start, 0
+            if word > pos:
+                bits.advance(word - pos)
+            pos = int(half[end - 1]) // 2 + 1
+            halves = bits.random_raw(pos - word).astype("<u8", copy=False).view("<u4")  # low first
+            values[lo + order[a:end]] = halves[half[a:end] - 2 * word] >= 1 << 31
+            a = end
+    if pos < pairs:
+        bits.advance(pairs - pos)
     last = rng.integers(0, 2, size - head - 2 * pairs) == 1
-    mid = np.stack(((words & 1 << 31) != 0, words >= 1 << 63), axis=1).ravel()  # bits 31, 63
-    return np.concatenate((first, mid, last))
+    ends = (at < head) | (at >= head + 2 * pairs)  # the values ``integers`` gave
+    end = at[ends]
+    values[ends] = np.concatenate((first, last))[np.where(end < head, end, end - 2 * pairs)]
+    return values
 
 
 def _arrivals(p: ProtocolParams, rng: np.random.Generator,
@@ -256,15 +280,14 @@ def _arrivals(p: ProtocolParams, rng: np.random.Generator,
     return slots, np.concatenate(n_bob)
 
 
-def _dark(p: ProtocolParams, rng: np.random.Generator, size: int) -> list[np.ndarray]:
-    """The ascending slots a dark count fires in (a uniform below d_c), one
-    array per piece."""
-    return _pieces(size, lambda start, u: start + np.flatnonzero(u < p.d_c), rng.random)
-
-
-def _bits(packed: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """The bits at ``slots`` of an array that ``np.packbits`` packed little-endian."""
-    return (packed[slots >> 3] >> (slots & 7).astype(np.uint8) & 1).astype(bool)
+def _dark(p: ProtocolParams, rng: np.random.Generator, size: int) -> np.ndarray:
+    """The ascending slots a dark count fires in: those of ``rng.random(size)``
+    below d_c, with that call's generator state.  PCG64's double is
+    (raw >> 11) 2^-53 of a raw output, so it lies below d_c exactly when raw
+    lies below ceil(d_c 2^53) << 11 (under 2^64, as d_c < 1/2 at any L)."""
+    below = np.uint64(math.ceil(p.d_c * 2.0**53) << 11)
+    return np.concatenate(_pieces(size, lambda start, raw: start + np.flatnonzero(raw < below),
+                                  rng.bit_generator.random_raw))
 
 
 def _block_sums(p: ProtocolParams, count: int, slots: np.ndarray, weights=None) -> np.ndarray:
@@ -297,25 +320,21 @@ def _sift_standard(p: ProtocolParams, rng: np.random.Generator, count: int,
     size = count * p.M * p.L
     n_valid = rng.binomial(n_bob, 0.5)
     n_wrong = rng.binomial(n_valid, p.e_sys)  # draws nothing at e_sys = 0
-    # one bit per slot: the slots it is read at are known only after the dark counts
-    correct_det = np.empty((size + 7) // 8, np.uint8)
-
-    def pack(start: int, bit: np.ndarray) -> None:
-        correct_det[start // 8:(start + len(bit) + 7) // 8] = np.packbits(bit, bitorder="little")
-
-    _pieces(size, pack, _coins, rng)
+    # the correct detector's coins are read at the dark slots too, which the stream holds after
+    # them: skip them, draw the dark counts, then go back for the coins at every entry
+    coins = rng.bit_generator.state
+    _coins_at(rng, size, slots[:0])
     dark = _dark(p, rng, size)
-    dark_det = np.concatenate(_pieces(
-        size, lambda start, bit: bit[dark[start // _PIECE] - start], _coins, rng))
-    dark = np.concatenate(dark)
-    dark_wrong = dark_det != _bits(correct_det, dark)
     right, errs = n_valid > n_wrong, n_wrong > 0  # each part is cut to its events before they join
     n = np.concatenate(((n_valid - n_wrong)[right], n_wrong[errs], np.ones(len(dark), np.int64)))
     del n_valid, n_wrong  # the full-size counts go before the slots are cut
     slot = np.concatenate((slots[right], slots[errs], dark))
-    wrong = np.concatenate((np.zeros(right.sum(), bool), np.ones(errs.sum(), bool), dark_wrong))
-    on1 = _bits(correct_det, slot) != wrong  # the detector an entry's events land on (threshold)
-    del correct_det  # its bit per slot goes before the (count, M) block sums
+    after, rng.bit_generator.state = rng.bit_generator.state, coins
+    correct = _coins_at(rng, size, slot)
+    rng.bit_generator.state = after
+    wrong = np.concatenate((np.zeros(right.sum(), bool), np.ones(errs.sum(), bool),
+                            _coins_at(rng, size, dark) != correct[len(slot) - len(dark):]))
+    on1 = np.not_equal(correct, wrong, out=correct)  # the detector an entry's events land on
     if p.detector is Detector.PNR:
         counts = _block_sums(p, count, slot, n)
         first = _first_block(counts > 0)
@@ -347,8 +366,8 @@ def _sift_beamdump(p: ProtocolParams, rng: np.random.Generator, count: int,
     hit_a = n > 0
     hit_b = rng.binomial(np.subtract(n_bob, n, out=n), 1.0 / 3.0) > 0
     del n  # before the full-size dark-count draws
-    dark_a = np.concatenate(_dark(p, rng, size))
-    dark_b = np.concatenate(_dark(p, rng, size))
+    dark_a = _dark(p, rng, size)
+    dark_b = _dark(p, rng, size)
     a = _block_sums(p, count, np.append(slots[hit_a], dark_a)) > 0
     b = _block_sums(p, count, np.append(slots[hit_b], dark_b)) > 0
     first = _first_block(a | b)
@@ -360,22 +379,14 @@ def _sift_beamdump(p: ProtocolParams, rng: np.random.Generator, count: int,
 
 
 def _chunk(p: ProtocolParams, mode: McMode, *, rng: np.random.Generator, count: int) -> tuple:
-    """The counters of ``count`` sequences, in ``McStats`` field order: the
-    sift's own counts, then the ground-truth multi-photon counters that both
-    modes share."""
+    """The counters of ``count`` sequences, in ``McStats`` field order."""
     slots, n_bob = _arrivals(p, rng, count * p.M * p.L)
     accepted = errored = double = ()  # a mode's sift makes only its own masks; the rest count 0
     if mode is McMode.STANDARD:
         accepted, errored = _sift_standard(p, rng, count, slots, n_bob)
     else:
         double = _sift_beamdump(p, rng, count, slots, n_bob)
-    multi = _block_sums(p, count, slots, n_bob) >= 2
-    return (
-        count,
-        *(int(np.count_nonzero(mask)) for mask in (accepted, errored, double)),
-        int(multi.sum()),
-        int(multi.any(axis=1).sum()),
-    )
+    return (count, *(int(np.count_nonzero(mask)) for mask in (accepted, errored, double)))
 
 
 def simulate(cfg: McConfig) -> McStats:

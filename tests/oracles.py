@@ -156,6 +156,15 @@ def exact_Q_pnr(p: ProtocolParams) -> float:
     return block1 * sum(block0**m for m in range(p.M))
 
 
+def exact_multi_photon(p: ProtocolParams) -> tuple[float, float]:
+    """(per block, per sequence): the probability that a block carries two or
+    more photons at Bob's input, 1 - e^-lambda (1 + lambda) with lambda =
+    L eta mu, and that some block of a sequence's M does."""
+    lam = p.L * p.eta * p.mu
+    silent = math.exp(-lam) * (1.0 + lam)
+    return 1.0 - silent, 1.0 - silent**p.M
+
+
 def exact_ebit_pnr(p: ProtocolParams) -> float:
     """Exact sifted error rate: lone photons err at e_sys, lone darks at 1/2."""
     _, p1, w = _pnr_slot_probs(p)
@@ -361,7 +370,9 @@ def sift_beamdump(ev: dict) -> np.ndarray:
 
 
 def dense_chunk(p: ProtocolParams, mode: McMode, *, rng: np.random.Generator, count: int) -> tuple:
-    """The ``McStats`` counters of ``count`` sequences, from the dense arrays."""
+    """The ``McStats`` counters of ``count`` sequences, from the dense arrays,
+    then the ground-truth counts of blocks that carry two or more photons at
+    Bob's input and of sequences that hold such a block."""
     accepted = errored = double = ()
     if mode is McMode.STANDARD:
         ev = standard_events(p, rng, count)

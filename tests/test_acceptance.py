@@ -30,6 +30,7 @@ from oracles import (
     OPTIMIZER_REL,
     brute_force_optimum,
     e_src_slow_oracle,
+    exact_multi_photon,
     poisson_upper_tail,
     z_score,
 )
@@ -371,15 +372,18 @@ def test_07_monte_carlo_agrees_with_channel_model() -> None:
     st = simulate(
         McConfig(params=dump, trials=10_000_000, seed=103, mode=McMode.BEAM_DUMP)
     )
-    assert st.multi_photon_sequences > 100
+    # the expected >=2-photon sequences and blocks: 1 - e^-lambda (1 + lambda) each at M = 1
+    per_block, per_sequence = exact_multi_photon(dump)
+    multi_sequences = st.sequences * per_sequence
+    assert multi_sequences > 100
 
     # conditioned on a >=2-photon block, both detectors fire there >= 1/8 the time
-    cond = st.double_counts / st.multi_photon_sequences
-    se_cond = math.sqrt(cond * (1.0 - cond) / st.multi_photon_sequences)
+    cond = st.double_counts / multi_sequences
+    se_cond = math.sqrt(cond * (1.0 - cond) / multi_sequences)
     assert cond >= 0.125 - 3.0 * se_cond
 
     # ... so 8x the raw double-count rate bounds the multi-photon block rate
-    mp_rate = st.multi_photon_blocks / st.sequences
+    mp_rate = dump.M * per_block
     se_mp = math.sqrt(mp_rate * (1.0 - mp_rate) / st.sequences)
     assert 8.0 * st.double_counts / st.sequences >= mp_rate - 5.0 * se_mp
 

@@ -628,6 +628,13 @@ REFERENCE_ROWS = [
      MC_HEADER + "\n"
      "Q,0.07705516895928743,0.07938412317536493,0.003822765245968359,0.617590516930905\n"
      "e_bit,0.15123996992479413,0.1486146095717884,0.0178524816691444,-0.14600187222214325\n"),
+    # 29 chunks of 7 sequences (14 pieces each) with some 90 dark counts per chunk, threshold
+    ("mc-dark-pieces",
+     "mc-validate --mu 1e-5 --eta 0.5 --L 128 --M 1000 --d-c 1e-4 --detector threshold --trials 200"
+     " --seed 21",
+     MC_HEADER + "\n"
+     "Q,0.5065563946394019,1.0,0.0,13.957892827567264\n"
+     "e_bit,0.4885437408318148,0.54,0.035242020373412196,1.4557849734017618\n"),
     ("attack-default", "attack --trials 200000 --seed 11",
      ATTACK_HEADER + "\n"
      "0.99,100,10000,99,1,200000,0.0036972963764972675,0.003625,0.00013438488335746696,9802.36781,"

@@ -33,8 +33,8 @@ from slowqkd.keyrate import _clicks_fit
 from slowqkd.montecarlo import _chunk
 
 from oracles import (
-    beamdump_events, dense_chunk, exact_Q_pnr, exact_ebit_pnr, replay_beamdump, replay_standard,
-    sift_beamdump, sift_standard, standard_events, z_score,
+    beamdump_events, dense_chunk, exact_Q_pnr, exact_ebit_pnr, exact_multi_photon, replay_beamdump,
+    replay_standard, sift_beamdump, sift_standard, standard_events, z_score,
 )
 
 # collision-rich parameters so the replay exercises multi-event blocks,
@@ -93,11 +93,17 @@ def test_sift_beamdump_matches_replay():
 
 
 def test_multi_photon_counters_follow_ground_truth():
-    ev = standard_events(BUSY_PNR, substream(5, (0,)), 300)
-    counts = McStats(*_chunk(BUSY_PNR, McMode.STANDARD, rng=substream(5, (0,)), count=300))
-    per_block = ev["n_bob"].sum(axis=2)
-    assert counts.multi_photon_blocks == int((per_block >= 2).sum())
-    assert counts.multi_photon_sequences == int((per_block >= 2).any(axis=1).sum())
+    """The dense engine's ground-truth counts of blocks with two or more
+    photons at Bob, and of sequences holding one, agree with the exact
+    probabilities 1 - e^-lambda (1 + lambda) and 1 - (e^-lambda (1 + lambda))^M
+    (lambda = L eta mu = 2.88) within 3 sigma, and the event list shares the
+    rest of its counters."""
+    counters = dense_chunk(BUSY_PNR, McMode.STANDARD, rng=substream(5, (0,)), count=300)
+    assert McStats(*_chunk(BUSY_PNR, McMode.STANDARD, rng=substream(5, (0,)), count=300)) == \
+        McStats(*counters[:4])
+    per_block, per_sequence = exact_multi_photon(BUSY_PNR)
+    for k, n, q in ((counters[4], 300 * BUSY_PNR.M, per_block), (counters[5], 300, per_sequence)):
+        assert abs(z_score(k, n, q, q * (1 - q))) <= 3.0, (k, n, q)
 
 
 def _dark_edge(L):
@@ -159,7 +165,7 @@ def test_event_list_chunk_equals_the_dense_engine(config, count, seed):
     p, mode = config
     count = min(count, max(1, 1_000_000 // (p.M * p.L)))
     assert _chunk(p, mode, rng=substream(seed, (0,)), count=count) == \
-        dense_chunk(p, mode, rng=substream(seed, (0,)), count=count)
+        dense_chunk(p, mode, rng=substream(seed, (0,)), count=count)[:4]
 
 
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
@@ -251,19 +257,69 @@ def test_no_emission_draws_nothing():
     assert rng.bit_generator.state == np.random.default_rng(2).bit_generator.state
 
 
+def _wanted_slots(size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """The slot lists the coin reader is asked for: none, one, every slot,
+    unsorted with repeats (more than ``_PIECE`` of them where the draw is
+    large), and a few with gaps longer than a piece between them."""
+    if not size:
+        return [np.arange(0)]
+    spread = rng.permutation(np.repeat(np.arange(size), 2)[: 3 * size // 2])
+    lists = [np.arange(0), rng.integers(0, size, 1), np.arange(size), spread]
+    if size > 2 * montecarlo._PIECE:
+        lists.append(np.array([size - 1, 3, 4, 3 + 2 * montecarlo._PIECE + 5, size - 2]))
+    return lists
+
+
 @pytest.mark.parametrize("sizes", [(6, 10), (7, 10), (7, 9), (1, 1), (1, 0, 2),
-                                   (3 << 15, 65537, 5)])
+                                   (3 << 15, 65537, 5), (1, 5 << 16 | 3), (2, 1, 5 << 16)])
 def test_coins_are_numpys_integers(sizes):
-    """The premise of ``montecarlo._coins``: consecutive calls give the values
-    of ``integers(0, 2)`` and leave the generator in its state.  After an odd
-    count the next call starts from the half of a 64-bit output numpy keeps;
-    a uniform between the calls reads a whole output and leaves that half."""
+    """The premise of ``montecarlo._coins_at``: at any list of slots it reads
+    the values of one ``integers(0, 2)`` call and leaves the generator in
+    that call's state, numpy's stale buffered half (``uinteger``) included,
+    though it skips the words it does not read with ``advance``.  After an
+    odd count the next call starts from the half of a 64-bit output numpy
+    keeps; a uniform between the calls reads a whole output and leaves that
+    half.  The large draws span several pieces, the unsorted lists more
+    than a piece of entries, and the gapped ones jump whole pieces."""
     numpy_rng, ours = np.random.default_rng(11), np.random.default_rng(11)
     for size in sizes:
+        start = numpy_rng.bit_generator.state
         want = numpy_rng.integers(0, 2, size) == 1
-        assert montecarlo._coins(ours, size).tolist() == want.tolist()
-        assert ours.bit_generator.state == numpy_rng.bit_generator.state
+        for at in _wanted_slots(size, np.random.default_rng(size)):
+            ours.bit_generator.state = start
+            assert montecarlo._coins_at(ours, size, at).tolist() == want[at].tolist(), at[:8]
+            assert ours.bit_generator.state == numpy_rng.bit_generator.state
         assert ours.random() == numpy_rng.random()
+
+
+def _past_a_coin(seed: int) -> np.random.Generator:
+    """A generator of ``seed`` past one coin: a buffered half sits in its
+    state for the uniforms to leave alone."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2, 1)
+    return rng
+
+
+_EDGE = float(np.sort(_past_a_coin(5).random(3 << 15))[19])  # a drawn uniform k 2^-53; 19 lie below
+
+
+@pytest.mark.parametrize("d_c", [0.0, 1e-9, 1e-3, _dark_edge(2), _EDGE, math.nextafter(_EDGE, 1.0),
+                                 math.nextafter(_EDGE, 0.0)],
+                         ids=["zero", "1e-9", "1e-3", "edge-L2", "on-a-uniform", "above", "below"])
+def test_dark_counts_are_numpys_uniforms_below_d_c(d_c):
+    """The premise of ``montecarlo._dark``: the slots where a raw output lies
+    below ceil(d_c 2^53) << 11 are those where ``rng.random`` lies below d_c,
+    and the generator ends in that call's state.  At d_c equal to a drawn
+    uniform k 2^-53 that uniform does not fire, nor at the float below it,
+    and at the float above it it does; the largest d_c that ``_clicks_fit``
+    admits at L = 2 fires in 37% of slots."""
+    p = ProtocolParams(mu=0.0, nu_th=0, eta=0.5, L=2, d_c=d_c)
+    numpy_rng, ours = _past_a_coin(5), _past_a_coin(5)
+    want = np.flatnonzero(numpy_rng.random(3 << 15) < d_c)
+    assert montecarlo._dark(p, ours, 3 << 15).tolist() == want.tolist()
+    assert ours.bit_generator.state == numpy_rng.bit_generator.state
+    if abs(d_c - _EDGE) < 1e-12:
+        assert len(want) == 19 + (d_c > _EDGE)
 
 
 @pytest.mark.parametrize("detector,mode", [(Detector.PNR, McMode.STANDARD),
@@ -274,12 +330,14 @@ def test_one_sequence_of_1e7_slots_stays_small(detector, mode):
     196 pieces) under tracemalloc (MB = 2^20 bytes; numpy 2.4.6).  Each of
     its full-size draws alone is 97.7 MB at 8 bytes per slot, and taking
     each draw in one call peaked at 122 MB (110 MB in beam dump).  Taken a
-    piece at a time they leave 2.2-2.9 MB (1.0 MB): the correct detector's
-    bits, 1.5 MB written piece by piece into one array and dropped before
-    the (count, M) block sums, and those sums.  Joining the bits from their
-    pieces, and holding them through the sums, had taken it to 3.1-3.8 MB.
-    At M = 10^6 the peaks are 16.3-16.5 MB (9.6 MB), from 30.8-31.0 MB.
-    The bound is 8 MB."""
+    piece at a time, with the detector coins read only at the event slots,
+    they leave 0.96-0.97 MB in threshold and beam dump, the (count, M)
+    block sums, and 2.3 MB in PNR, whose two float block sums are alive at once.
+    Holding the correct detector's coins at one bit per slot had taken the
+    standard modes to 2.1-2.9 MB, and joining those bits from their pieces
+    to 3.1-3.8 MB.  At M = 10^6 the peaks are 9.6 MB (15.5 MB PNR), from
+    16.3-16.5 MB with the bits and 30.8-31.0 MB with them joined.  The
+    bound is 8 MB."""
     p = ProtocolParams(mu=1e-5, nu_th=0, eta=1.0, M=10**5, L=128, d_c=1e-6, detector=detector)
     tracemalloc.start()
     try:
@@ -298,15 +356,18 @@ def test_a_chunk_of_a_million_slots_stays_small(detector, mode):
     tracemalloc (MB = 2^20 bytes; numpy 2.4.6).  ``oracles.dense_chunk``
     peaks at 63.0 MB (33.4 MB in beam dump) at any mu.
 
-    At lambda = 1 per block the event list peaks at 0.9-1.7 MB (0.7 MB),
+    At lambda = 1 per block the event list peaks at 0.81 MB (0.72 MB),
     with its full-size draws taken a piece at a time (9.8-10.5 MB and 8.7 MB
-    when each was one call); the bound is 32 MB.  At mu = 5 per slot, where
+    when each was one call; 0.93 MB with the correct detector's coins held
+    at one bit per slot); the bound is 32 MB.  At mu = 5 per slot, where
     nearly every slot holds photons and the slot list is as long as the
-    chunk, it peaks at 48.2 MB (PNR), 49.4 MB (threshold) and 32.2 MB (beam
-    dump); the bound is the dense engine's peak.  Joining the standard
-    sift's three entry lists at full size before dropping the empty entries,
-    and holding the emissions and both detectors' photon counts through
-    the later draws, had taken it to 81.4 MB (41.3 MB)."""
+    chunk, it peaks at 49.1 MB (PNR), 49.3 MB (threshold) and 32.2 MB (beam
+    dump); the bound is the dense engine's peak.  The coins are read at the
+    entries ``_PIECE`` at a time: one sort over all of them takes the
+    standard modes to 50.0 MB.  Joining the standard sift's three entry
+    lists at full size before dropping the empty entries, and holding the
+    emissions and both detectors' photon counts through the later draws,
+    had taken it to 81.4 MB (41.3 MB)."""
     dense_peak = 33.4 if mode is McMode.BEAM_DUMP else 63.0
     for mu, bound in ((1.0 / 128, 32.0), (5.0, dense_peak)):
         p = ProtocolParams(mu=mu, nu_th=0, eta=1.0, M=1, L=128, d_c=1e-3, detector=detector)
@@ -563,19 +624,22 @@ def test_beamdump_conditional_double_count_bound():
     """Given a block carrying >= 2 photons, both detectors fire in it
     with probability >= 1/8 (equality for exactly two photons and no
     dark counts), so 8x the double-count rate bounds the multi-photon
-    rate from above."""
+    rate from above.  The multi-photon counts are the exact expectations,
+    n (1 - e^-lambda (1 + lambda)) for blocks and sequences alike at M = 1."""
     p = ProtocolParams(
         mu=0.25, nu_th=0, eta=0.5, M=1, L=8, d_c=0.0, detector=Detector.THRESHOLD
     )
     stats = simulate(
         McConfig(params=p, trials=300_000, seed=51, mode=McMode.BEAM_DUMP)
     )
-    assert stats.multi_photon_sequences > 1000
-    cond = stats.double_counts / stats.multi_photon_sequences
-    se = binomial_stderr(stats.double_counts, stats.multi_photon_sequences)
+    per_block, per_sequence = exact_multi_photon(p)
+    multi_sequences = stats.sequences * per_sequence
+    assert multi_sequences > 1000
+    cond = stats.double_counts / multi_sequences
+    se = binomial_stderr(stats.double_counts, multi_sequences)
     assert cond >= 1.0 / 8.0 - 3.0 * se
-    rate_mp = stats.multi_photon_blocks / stats.sequences
-    se_mp = binomial_stderr(stats.multi_photon_blocks, stats.sequences)
+    rate_mp = p.M * per_block
+    se_mp = binomial_stderr(stats.sequences * rate_mp, stats.sequences)
     assert 8.0 * stats.double_counts / stats.sequences >= rate_mp - 5.0 * se_mp
 
 
