@@ -7,14 +7,14 @@ With the basis fixed per sequence, Bob reads at most one outcome from a
 sequence: the one in its first block that holds a click.  Both modes sift
 on that block, found by ``_first_block``.
 
-* ``STANDARD`` — the full sifting chain.  Each pulse carries a Poisson(mu)
-  photon number; photons survive the channel with probability eta, reach a
-  valid detection slot with probability 1/2, and land on the detector
-  encoding the correct bit with probability 1 - e_sys.  One dark-count
-  opportunity per valid slot fires with probability d_c on a uniformly
-  random detector.  Bob keeps the first clicked block if it contains
-  exactly one event (PNR: one photon-number count; threshold: one detector
-  clicking with the partner silent).
+* ``STANDARD`` — the full sifting chain.  Bob receives Poisson(mu eta)
+  photons per slot (a Poisson(mu) pulse through a channel of transmission
+  eta); each reaches a valid detection slot with probability 1/2 and the
+  detector encoding the correct bit with probability 1 - e_sys.  One
+  dark-count opportunity per valid slot fires with probability d_c on a
+  uniformly random detector.  Bob keeps the first clicked block if it
+  holds exactly one event (PNR: one photon-number count; threshold: one
+  detector clicking with the partner silent).
 * ``BEAM_DUMP`` — the double-count diagnostic with one interferometer arm
   blocked.  An arriving photon is detected with probability 1/2 overall
   (1/4 per detector, the rest absorbed); a detector is dead from its first
@@ -28,19 +28,19 @@ sequence when M*L is larger), driven by ``_env.seeded_chunks``, the driver
 the attack study shares; chunk i draws from substream (seed, (i,)), so the
 statistics are a pure function of the configuration and do not depend on
 scheduling or worker count (QKD_THREADS).  A chunk's draws, in order:
-Poisson emissions, the eta thinning and the mode's photon splits (valid
-slot and error, or the two beam-dump detectors), then the standard mode's
-correct detector, dark counts and dark detector, or the beam dump's two
-dark counts.  The Poisson, every uniform ``random`` and both
-``integers(0, 2)`` take a value at every slot, in consecutive calls on
-pieces of ``_PIECE`` slots, which numpy fills from the stream as it fills
-one call.  Three of them are read from the stream below numpy's call, with
-its values and generator state:
+Poisson(mu eta) arrivals, with no emission drawn and thinned, the mode's
+photon splits (valid slot and error, or the two beam-dump detectors),
+then the standard mode's correct detector, dark counts and dark detector,
+or the beam dump's two dark counts.  The Poisson, every uniform ``random``
+and both ``integers(0, 2)`` take a value at every slot, in consecutive
+calls on pieces of ``_PIECE`` slots, which numpy fills from the stream as
+it fills one call.  Three of them are read from the stream below numpy's
+call, with its values and generator state:
 
-* the Poisson, for 0 < mu <= ``_WALK_MU``: numpy reads uniforms there, the
-  doubles ``random`` returns, one per empty slot, so ``_poisson_walk``
+* the Poisson, for 0 < mu eta <= ``_WALK_MU``: numpy reads uniforms there,
+  the doubles ``random`` returns, one per empty slot, so ``_poisson_walk``
   takes them in one ``random`` call and walks only those of the slots that
-  hold photons.  mu = 0 and larger mu keep ``rng.poisson``;
+  hold photons.  mu eta = 0 and larger means keep ``rng.poisson``;
 * the dark counts' uniforms: a double is the top 53 bits of a 64-bit
   output, so ``_dark`` compares the ``random_raw`` outputs with d_c's
   threshold there;
@@ -50,13 +50,13 @@ its values and generator state:
   and jumps the rest with PCG64's ``advance``.
 
 Of each piece a chunk keeps what the later steps read: the slots that hold
-emissions or dark counts, with their values.  Each binomial runs over the
+arrivals or dark counts, with their values.  Each binomial runs over the
 slots with photons only, as numpy's binomial draws nothing at n = 0.  The
 sifts then work on a list of the slots that hold an event, through
 (count, M) per-block sums.  So a chunk's memory follows its events, its
 blocks and one piece; only its time grows with every slot, in a sparse
 chunk at the cost of reading two 64-bit outputs a slot (a uniform each for
-the emissions and the dark counts).
+the arrivals and the dark counts).
 """
 
 from __future__ import annotations
@@ -144,9 +144,9 @@ def binomial_stderr(k: int, n: int) -> float:
 
 _PIECE = 1 << 16  # slots per call of a full-size draw
 
-# Up to where ``_poisson_walk`` costs less than ``rng.poisson`` on a piece: the walk's time grows
-# with the emissions, numpy's with the slots.  Walk/poisson time is 0.60 at mu = 0.01, 0.85 at
-# 0.02 and 1.04 at 0.03 (median of 60 alternating pairs, numpy 2.4.6, 2 vCPUs).
+# Up to where ``_poisson_walk`` costs less than ``rng.poisson`` on a piece, in the mean mu eta: the
+# walk's time grows with the arrivals, numpy's with the slots.  Walk/poisson time is 0.60 at a mean
+# of 0.01, 0.85 at 0.02 and 1.04 at 0.03 (median of 60 alternating pairs, numpy 2.4.6, 2 vCPUs).
 _WALK_MU = 0.025
 
 
@@ -268,14 +268,11 @@ def _coins_at(rng: np.random.Generator, size: int, at: np.ndarray) -> np.ndarray
 def _arrivals(p: ProtocolParams, rng: np.random.Generator,
               size: int) -> tuple[np.ndarray, np.ndarray]:
     """The ascending slots that photons reach Bob in, and how many reach him
-    in each: Poisson(mu) emitted per slot, each kept with probability eta.
-    The emissions stay in their pieces through the thinning, one binomial
-    call per piece, so only the arrivals are ever joined."""
-    slots, n_bob = map(list, zip(*_pieces(
-        size, lambda start, emitted: (emitted[0] + start, emitted[1]), _emissions, rng, p.mu)))
-    for i, n in enumerate(n_bob):
-        n = rng.binomial(n, p.eta)
-        slots[i], n_bob[i] = slots[i][n > 0], n[n > 0]
+    in each: Poisson(mu eta) per slot, one draw.  A Poisson(mu) emission
+    whose photons each survive the channel with probability eta is exactly
+    Poisson(mu eta), so no emission is drawn and thinned."""
+    slots, n_bob = zip(*_pieces(size, lambda start, arrived: (arrived[0] + start, arrived[1]),
+                                _emissions, rng, p.mu * p.eta))
     slots = np.concatenate(slots)  # its pieces go before n_bob's are joined
     return slots, np.concatenate(n_bob)
 
@@ -339,7 +336,10 @@ def _sift_standard(p: ProtocolParams, rng: np.random.Generator, count: int,
         counts = _block_sums(p, count, slot, n)
         first = _first_block(counts > 0)
         accepted = counts[first] == 1
-        return accepted, accepted & (_block_sums(p, count, slot[wrong], n[wrong])[first] == 1)
+        sequence, block = np.divmod(slot[wrong] // p.L, p.M)
+        there = block == first[1][sequence]  # the wrong entries in their first clicked block
+        errors = np.bincount(sequence[there], n[wrong][there], minlength=count)
+        return accepted, accepted & (errors == 1)
     k0, k1 = _block_sums(p, count, slot[~on1]) > 0, _block_sums(p, count, slot[on1]) > 0
     first = _first_block(k0 | k1)
     accepted = k0[first] ^ k1[first]

@@ -285,8 +285,9 @@ def scan_every_nu_optimum(
 
 
 def _dense_arrivals(p: ProtocolParams, rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Photons reaching Bob per slot: Poisson(mu) emitted, each kept with probability eta."""
-    return rng.binomial(rng.poisson(p.mu, shape), p.eta)
+    """Photons reaching Bob per slot: Poisson(mu eta), the law of Poisson(mu)
+    emissions each kept with probability eta, in one draw."""
+    return rng.poisson(p.mu * p.eta, shape)
 
 
 def standard_events(p: ProtocolParams, rng: np.random.Generator, count: int) -> dict:

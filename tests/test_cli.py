@@ -582,19 +582,19 @@ REFERENCE_ROWS = [
      "0.12014662085535613,0.0,0.0,0.0\n"),
     ("mc-standard", "mc-validate --mu 0.005 --eta 0.05 --L 8 --trials 30000 --seed 9",
      MC_HEADER + "\n"
-     "Q,0.000998009998667333,0.0011333333333333334,0.000194254891734965,0.7423055296453855\n"
-     "e_bit,0.030003767497324696,0.0,0.0,-1.0255157400613493\n"),
+     "Q,0.000998009998667333,0.0008666666666666666,0.00016989364865071282,-0.7204735374485292\n"
+     "e_bit,0.030003767497324696,0.0,0.0,-0.896787499600543\n"),
     ("mc-beamdump",
      "mc-validate --mu 0.05 --eta 0.3 --L 8 --detector threshold --mode beamdump --trials 20000"
      " --seed 4",
      MC_HEADER + "\n"
-     "e_mB,0.006385833530191638,0.0056,0.0014961390309727236,-0.49188679730882834\n"),
+     "e_mB,0.006385833530191638,0.0048,0.001385224891488743,-0.9926409936220084\n"),
     ("mc-threshold-M100",
      "mc-validate --mu 0.001 --eta 0.01 --L 128 --M 100 --detector threshold --trials 3000"
      " --seed 5",
      MC_HEADER + "\n"
-     "Q,0.060046149546824856,0.059,0.004301898805566366,-0.2411895855303938\n"
-     "e_bit,0.030094101552621724,0.01694915254237288,0.009702314585073516,-1.0236230284666374\n"),
+     "Q,0.060046149546824856,0.06066666666666667,0.004358372105202516,0.14306010780523387\n"
+     "e_bit,0.030094101552621724,0.03296703296703297,0.01323502838673615,0.22685871138775304\n"),
     ("mc-no-dark", "mc-validate --mu 1e-9 --eta 1e-7 --L 8 --d-c 0 --trials 1000 --seed 5",
      MC_HEADER + "\n"
      "Q,3.999999999999997e-16,0.0,0.0,-6.324555320336757e-07\n"
@@ -603,19 +603,19 @@ REFERENCE_ROWS = [
      "mc-validate --mu 0.01 --eta 0.1 --L 8 --M 20 --d-c 0 --detector threshold --trials 3000"
      " --seed 6",
      MC_HEADER + "\n"
-     "Q,0.07363278737763561,0.07833333333333334,0.004905684533349116,0.985783902721115\n"
-     "e_bit,0.03,0.029787234042553193,0.011089568556472886,-0.01912007443688902\n"),
+     "Q,0.07363278737763561,0.08833333333333333,0.005181073104919338,3.082952852907008\n"
+     "e_bit,0.03,0.03018867924528302,0.010510968734542141,0.01800530874764384\n"),
     ("mc-beamdump-no-dark",
      "mc-validate --mu 0.05 --eta 0.3 --L 8 --M 4 --d-c 0 --detector threshold --mode beamdump"
      " --trials 20000 --seed 7",
      MC_HEADER + "\n"
-     "e_mB,0.021528057712758356,0.0216,0.0029354168358173595,0.024549177915716994\n"),
+     "e_mB,0.021528057712758356,0.0284,0.0033644720239585884,2.3449425964091914\n"),
     # L*eta*mu ~ 1e-3 per block, the regime of the mc_sparse benchmark: nearly every slot is empty
     ("mc-sparse-threshold",
      "mc-validate --mu 1e-5 --eta 0.8 --L 128 --M 1000 --detector threshold --trials 300 --seed 12",
      MC_HEADER + "\n"
-     "Q,0.320304316620512,0.39666666666666667,0.02824430457173164,2.834661864110169\n"
-     "e_bit,0.030117590953767735,0.025210084033613446,0.014370410687695694,-0.31323100566206014\n"),
+     "Q,0.320304316620512,0.4033333333333333,0.028322873886404698,3.0821365129300697\n"
+     "e_bit,0.030117590953767735,0.05785123966942149,0.02122381200875362,1.7849663733799759\n"),
     ("mc-no-emission",
      "mc-validate --mu 0 --eta 0.5 --L 8 --M 10 --d-c 1e-3 --trials 3000 --seed 3",
      MC_HEADER + "\n"
@@ -626,15 +626,15 @@ REFERENCE_ROWS = [
      "mc-validate --mu 0.02 --eta 0.3 --L 7 --M 3 --d-c 1e-3 --detector threshold --trials 5001"
      " --seed 13",
      MC_HEADER + "\n"
-     "Q,0.07705516895928743,0.07938412317536493,0.003822765245968359,0.617590516930905\n"
-     "e_bit,0.15123996992479413,0.1486146095717884,0.0178524816691444,-0.14600187222214325\n"),
+     "Q,0.07705516895928743,0.08698260347930414,0.00398499059023386,2.632550427436489\n"
+     "e_bit,0.15123996992479413,0.1471264367816092,0.01698412026296994,-0.23946049635042085\n"),
     # 29 chunks of 7 sequences (14 pieces each) with some 90 dark counts per chunk, threshold
     ("mc-dark-pieces",
      "mc-validate --mu 1e-5 --eta 0.5 --L 128 --M 1000 --d-c 1e-4 --detector threshold --trials 200"
      " --seed 21",
      MC_HEADER + "\n"
-     "Q,0.5065563946394019,1.0,0.0,13.957892827567264\n"
-     "e_bit,0.4885437408318148,0.54,0.035242020373412196,1.4557849734017618\n"),
+     "Q,0.5065563946394019,0.995,0.004987484335815003,13.816459311397091\n"
+     "e_bit,0.4885437408318148,0.5226130653266332,0.035407793003937926,0.9614663414209192\n"),
     ("attack-default", "attack --trials 200000 --seed 11",
      ATTACK_HEADER + "\n"
      "0.99,100,10000,99,1,200000,0.0036972963764972675,0.003625,0.00013438488335746696,9802.36781,"

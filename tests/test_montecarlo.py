@@ -158,10 +158,10 @@ def test_event_list_chunk_equals_the_dense_engine(config, count, seed):
     so every counter is equal, not just alike in distribution.  The workload
     examples hold 7 to 16 of the event list's pieces of ``_PIECE`` slots,
     the last one partial; the drawn configurations hold one or a few.  At
-    mu = ``_WALK_MU`` each of 16 pieces holds about 1,600 emissions, some
-    20 of them of two photons or more, which the walk takes in
-    ``_emissions``; the odd count of 5001 sequences of 21 slots leaves the
-    coins of a chunk an odd number."""
+    mu = ``_WALK_MU`` and eta = 0.3 the 16 pieces hold 7,468 arrivals, 33
+    of them of two photons or more, which the walk takes in ``_emissions``
+    at mu eta = 0.0075; the odd count of 5001 sequences of 21 slots leaves
+    the coins of a chunk an odd number."""
     p, mode = config
     count = min(count, max(1, 1_000_000 // (p.M * p.L)))
     assert _chunk(p, mode, rng=substream(seed, (0,)), count=count) == \
@@ -199,7 +199,7 @@ def test_a_draw_in_consecutive_pieces_is_one_draw(take):
     into uneven pieces has the one call's values and leaves the generator in
     the same state.  Odd piece sizes leave half of a 64-bit output over for
     ``integers``; mu = 15 takes the Poisson's rejection branch; the binomial
-    is split over an array of n, as the arrivals are thinned piece by piece."""
+    is split over an array of n."""
     cuts = [0, 7, 500, 501, 1001]
     full, pieces = np.random.default_rng(17), np.random.default_rng(17)
     values = take(full, 0, 1001)
@@ -255,6 +255,29 @@ def test_no_emission_draws_nothing():
     slots, counts = montecarlo._emissions(rng, 0.0, 1 << 16)
     assert len(slots) == len(counts) == 0
     assert rng.bit_generator.state == np.random.default_rng(2).bit_generator.state
+
+
+@pytest.mark.parametrize("mu,eta,seed", [
+    (0.3, 1.0, 31),  # eta = 1: mu eta = mu, above _WALK_MU
+    (0.5, 0.0, 32),  # eta = 0: nothing arrives
+    (0.05, 0.4, 33),  # mu eta = 0.02, below _WALK_MU: the walk
+    (0.6, 0.1, 34),  # mu eta = 0.06, above it: numpy's Poisson
+    (0.5, 0.02, 35),  # mu above _WALK_MU and mu eta = 0.01 below it, as in mc_busy
+])
+def test_arrivals_follow_the_poisson_law_of_mu_eta(mu, eta, seed):
+    """The photons reaching Bob in a slot are Poisson(mu eta), the law of
+    Poisson(mu) emissions each kept with probability eta: over 200,003 slots
+    (three pieces and a part) the slots that hold 0, 1 and 2 or more photons
+    each lie within 4 sigma of that pmf.  At mu eta = 0.01 some ten slots
+    are expected to hold two or more."""
+    size, lam = 200_003, mu * eta
+    slots, n_bob = montecarlo._arrivals(ProtocolParams(mu=mu, nu_th=0, eta=eta, L=8),
+                                        np.random.default_rng(seed), size)
+    assert (np.diff(slots) > 0).all() and (n_bob > 0).all()
+    p0, p1 = math.exp(-lam), lam * math.exp(-lam)
+    for k, q in ((size - len(slots), p0), (np.count_nonzero(n_bob == 1), p1),
+                 (np.count_nonzero(n_bob >= 2), 1.0 - p0 - p1)):
+        assert abs(z_score(k, size, q, q * (1.0 - q))) <= 4.0, (k, q)
 
 
 def _wanted_slots(size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -332,11 +355,14 @@ def test_one_sequence_of_1e7_slots_stays_small(detector, mode):
     each draw in one call peaked at 122 MB (110 MB in beam dump).  Taken a
     piece at a time, with the detector coins read only at the event slots,
     they leave 0.96-0.97 MB in threshold and beam dump, the (count, M)
-    block sums, and 2.3 MB in PNR, whose two float block sums are alive at once.
-    Holding the correct detector's coins at one bit per slot had taken the
-    standard modes to 2.1-2.9 MB, and joining those bits from their pieces
-    to 3.1-3.8 MB.  At M = 10^6 the peaks are 9.6 MB (15.5 MB PNR), from
-    16.3-16.5 MB with the bits and 30.8-31.0 MB with them joined.  The
+    block sums, and 1.6 MB in PNR, whose float block sum of the counts goes
+    before the wrong counts of the first clicked blocks are summed over the
+    entries.  A second float block sum for the wrong entries, alive beside
+    the first, had taken PNR to 2.3 MB.  Holding the correct detector's
+    coins at one bit per slot had taken the standard modes to 2.1-2.9 MB,
+    and joining those bits from their pieces to 3.1-3.8 MB.  At M = 10^6
+    the peaks are 9.6 MB (8.7 MB PNR, 15.5 MB with the two block sums),
+    from 16.3-16.5 MB with the bits and 30.8-31.0 MB with them joined.  The
     bound is 8 MB."""
     p = ProtocolParams(mu=1e-5, nu_th=0, eta=1.0, M=10**5, L=128, d_c=1e-6, detector=detector)
     tracemalloc.start()
