@@ -29,13 +29,16 @@ the attack study shares; chunk i draws from substream (seed, (i,)), so the
 statistics are a pure function of the configuration and do not depend on
 scheduling or worker count (QKD_THREADS).  A chunk's draws, in order:
 Poisson(mu eta) arrivals, with no emission drawn and thinned, the mode's
-photon splits (valid slot and error, or the two beam-dump detectors),
-then the standard mode's correct detector, dark counts and dark detector,
-or the beam dump's two dark counts.  The Poisson, every uniform ``random``
-and both ``integers(0, 2)`` take a value at every slot, in consecutive
-calls on pieces of ``_PIECE`` slots, which numpy fills from the stream as
-it fills one call.  Three of them are read from the stream below numpy's
-call, with its values and generator state:
+photon splits (valid slot and error, or the two beam-dump detectors), then
+the standard mode's dark counts and its detector coins, or the beam dump's
+two dark counts.  The coins are one per slot that photons reach, for its
+correct detector, then two per dark count, for its detector and for the
+correct one of a slot that holds no photons: no sift reads a slot without
+events, so this is the law of one fair coin per slot.  The Poisson and
+every uniform ``random`` take a value at every slot, in consecutive calls
+on pieces of ``_PIECE`` slots, which numpy fills from the stream as it
+fills one call.  Two of them are read from the stream below numpy's call,
+with its values and generator state:
 
 * the Poisson, for 0 < mu eta <= ``_WALK_MU``: numpy reads uniforms there,
   the doubles ``random`` returns, one per empty slot, so ``_poisson_walk``
@@ -43,11 +46,7 @@ call, with its values and generator state:
   hold photons.  mu eta = 0 and larger means keep ``rng.poisson``;
 * the dark counts' uniforms: a double is the top 53 bits of a 64-bit
   output, so ``_dark`` compares the ``random_raw`` outputs with d_c's
-  threshold there;
-* both ``integers(0, 2)``: numpy returns the top bit of each 32-bit half
-  of a 64-bit output, and a chunk reads the coins only at the slots that
-  hold events, so ``_coins_at`` draws only the outputs around those slots
-  and jumps the rest with PCG64's ``advance``.
+  threshold there.
 
 Of each piece a chunk keeps what the later steps read: the slots that hold
 arrivals or dark counts, with their values.  Each binomial runs over the
@@ -221,50 +220,6 @@ def _poisson_walk(rng: np.random.Generator, mu: float, size: int) -> tuple[np.nd
     return np.array(slots, np.int64), np.array(counts, np.int64)
 
 
-def _coins_at(rng: np.random.Generator, size: int, at: np.ndarray) -> np.ndarray:
-    """``(rng.integers(0, 2, size) == 1)[at]``, with that call's generator state.
-
-    For a range of 2 numpy returns the top bit of a 32-bit half of a 64-bit
-    PCG64 output (the generator ``substream`` makes), the low half first,
-    and keeps the high half for the next value (``has_uint32`` in the
-    generator's state).  A buffered half at the start and the last one or
-    two values go through ``integers``, which leaves the half numpy leaves.
-    Of the words between, only those around ``at`` (any order, repeats
-    allowed) are drawn: taken ``_PIECE`` entries at a time and sorted, each
-    run of slots within a piece is one ``random_raw`` call, and PCG64's
-    ``advance`` jumps the rest, back to the first word where a run lies
-    below the last one read.  ``advance`` clears the buffered half, so it
-    never runs over zero words."""
-    bits = rng.bit_generator
-    head = min(size, bits.state["has_uint32"])
-    pairs = max(size - head - 1, 0) // 2
-    first = rng.integers(0, 2, head) == 1
-    start, pos = bits.state, 0  # the state at the first word; the next word it reads
-    values = np.empty(len(at), bool)
-    for lo in range(0, len(at), _PIECE):
-        order = np.argsort(at[lo:lo + _PIECE])
-        half = at[lo:lo + _PIECE][order] - head  # the value's half of a word, from the first word
-        a, b = np.searchsorted(half, (0, 2 * pairs))  # the values the words hold
-        while a < b:
-            end = a + int(np.searchsorted(half[a:b], half[a] + _PIECE))  # a run within a piece
-            word = int(half[a]) // 2
-            if word < pos:
-                bits.state, pos = start, 0
-            if word > pos:
-                bits.advance(word - pos)
-            pos = int(half[end - 1]) // 2 + 1
-            halves = bits.random_raw(pos - word).astype("<u8", copy=False).view("<u4")  # low first
-            values[lo + order[a:end]] = halves[half[a:end] - 2 * word] >= 1 << 31
-            a = end
-    if pos < pairs:
-        bits.advance(pairs - pos)
-    last = rng.integers(0, 2, size - head - 2 * pairs) == 1
-    ends = (at < head) | (at >= head + 2 * pairs)  # the values ``integers`` gave
-    end = at[ends]
-    values[ends] = np.concatenate((first, last))[np.where(end < head, end, end - 2 * pairs)]
-    return values
-
-
 def _arrivals(p: ProtocolParams, rng: np.random.Generator,
               size: int) -> tuple[np.ndarray, np.ndarray]:
     """The ascending slots that photons reach Bob in, and how many reach him
@@ -317,21 +272,21 @@ def _sift_standard(p: ProtocolParams, rng: np.random.Generator, count: int,
     size = count * p.M * p.L
     n_valid = rng.binomial(n_bob, 0.5)
     n_wrong = rng.binomial(n_valid, p.e_sys)  # draws nothing at e_sys = 0
-    # the correct detector's coins are read at the dark slots too, which the stream holds after
-    # them: skip them, draw the dark counts, then go back for the coins at every entry
-    coins = rng.bit_generator.state
-    _coins_at(rng, size, slots[:0])
     dark = _dark(p, rng, size)
     right, errs = n_valid > n_wrong, n_wrong > 0  # each part is cut to its events before they join
     n = np.concatenate(((n_valid - n_wrong)[right], n_wrong[errs], np.ones(len(dark), np.int64)))
     del n_valid, n_wrong  # the full-size counts go before the slots are cut
     slot = np.concatenate((slots[right], slots[errs], dark))
-    after, rng.bit_generator.state = rng.bit_generator.state, coins
-    correct = _coins_at(rng, size, slot)
-    rng.bit_generator.state = after
+    coin = rng.integers(0, 2, len(slots), dtype=bool)  # the correct detector of each arrival slot
+    # a dark count lands on a coin of its own; its correct detector is a fresh coin, or its
+    # slot's where photons arrive there too
+    dark_on1, dark_correct = rng.integers(0, 2, (2, len(dark)), dtype=bool)
+    at = np.searchsorted(slots, dark)
+    shared = at < np.searchsorted(slots, dark, side="right")  # the dark counts in arrival slots
+    dark_correct[shared] = coin[at[shared]]
+    on1 = np.concatenate((coin[right], ~coin[errs], dark_on1))  # the detector an entry lands on
     wrong = np.concatenate((np.zeros(right.sum(), bool), np.ones(errs.sum(), bool),
-                            _coins_at(rng, size, dark) != correct[len(slot) - len(dark):]))
-    on1 = np.not_equal(correct, wrong, out=correct)  # the detector an entry's events land on
+                            dark_on1 != dark_correct))
     if p.detector is Detector.PNR:
         counts = _block_sums(p, count, slot, n)
         first = _first_block(counts > 0)

@@ -297,16 +297,23 @@ def standard_events(p: ProtocolParams, rng: np.random.Generator, count: int) -> 
     slot on each physical detector; correct_det says which detector
     encodes Alice's bit for that slot; n_bob is the pre-interferometer
     photon number per pulse (ground truth for multi-photon accounting).
-    Dark counts are the chunk's last draws, made at any d_c (at 0 all False).
+    After the photon splits come the dark counts, at any d_c (at 0 all
+    False), then one coin per slot that photons reach for its correct
+    detector, then two per dark count: its detector, and a correct detector
+    that only a slot without photons reads.
     """
     shape = (count, p.M, p.L)
     n_bob = _dense_arrivals(p, rng, shape)
     n_valid = rng.binomial(n_bob, 0.5)
     n_wrong = rng.binomial(n_valid, p.e_sys)  # draws nothing at e_sys = 0
     n_right = n_valid - n_wrong
-    correct_det = rng.integers(0, 2, shape)
     dark = rng.random(shape) < p.d_c
-    dark_det = rng.integers(0, 2, shape)
+    arrived = n_bob > 0
+    correct_det = np.zeros(shape, bool)  # read only at the slots that hold an event
+    correct_det[arrived] = rng.integers(0, 2, arrived.sum(), dtype=bool)
+    dark_det, fresh = np.zeros((2, *shape), bool)
+    dark_det[dark], fresh[dark] = rng.integers(0, 2, (2, dark.sum()), dtype=bool)
+    correct_det = np.where(arrived, correct_det, fresh)
     ev0 = np.where(correct_det == 0, n_right, n_wrong) + (dark & (dark_det == 0))
     ev1 = np.where(correct_det == 0, n_wrong, n_right) + (dark & (dark_det == 1))
     return {"ev0": ev0, "ev1": ev1, "correct_det": correct_det, "n_bob": n_bob}

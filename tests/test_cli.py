@@ -603,8 +603,8 @@ REFERENCE_ROWS = [
      "mc-validate --mu 0.01 --eta 0.1 --L 8 --M 20 --d-c 0 --detector threshold --trials 3000"
      " --seed 6",
      MC_HEADER + "\n"
-     "Q,0.07363278737763561,0.08833333333333333,0.005181073104919338,3.082952852907008\n"
-     "e_bit,0.03,0.03018867924528302,0.010510968734542141,0.01800530874764384\n"),
+     "Q,0.07363278737763561,0.088,0.005172233560078276,3.0130472212341446\n"
+     "e_bit,0.03,0.030303030303030304,0.01055016096701199,0.028863003967387963\n"),
     ("mc-beamdump-no-dark",
      "mc-validate --mu 0.05 --eta 0.3 --L 8 --M 4 --d-c 0 --detector threshold --mode beamdump"
      " --trials 20000 --seed 7",
@@ -619,22 +619,23 @@ REFERENCE_ROWS = [
     ("mc-no-emission",
      "mc-validate --mu 0 --eta 0.5 --L 8 --M 10 --d-c 1e-3 --trials 3000 --seed 3",
      MC_HEADER + "\n"
-     "Q,0.07451850171561065,0.08466666666666667,0.005082591931361472,2.116567959244929\n"
-     "e_bit,0.5,0.5236220472440944,0.03133775859433036,0.7529469661657903\n"),
-    # one chunk of 5001 * 21 slots: an odd count of detector coins
+     "Q,0.07451850171561065,0.07466666666666667,0.004799012244047573,0.030902255688661864\n"
+     "e_bit,0.5,0.5446428571428571,0.03327422689520766,1.3363062095621219\n"),
+    # one chunk of 5001 * 21 slots, a piece and a part, in threshold: arrivals walked at
+    # mu*eta = 0.006 and dark counts, nearly all of them in slots that hold no photons
     ("mc-odd-slots",
      "mc-validate --mu 0.02 --eta 0.3 --L 7 --M 3 --d-c 1e-3 --detector threshold --trials 5001"
      " --seed 13",
      MC_HEADER + "\n"
-     "Q,0.07705516895928743,0.08698260347930414,0.00398499059023386,2.632550427436489\n"
-     "e_bit,0.15123996992479413,0.1471264367816092,0.01698412026296994,-0.23946049635042085\n"),
+     "Q,0.07705516895928743,0.08378324335132974,0.003917863239892253,1.7841462545920328\n"
+     "e_bit,0.15123996992479413,0.13365155131264916,0.01662364636543339,-1.0048657734023245\n"),
     # 29 chunks of 7 sequences (14 pieces each) with some 90 dark counts per chunk, threshold
     ("mc-dark-pieces",
      "mc-validate --mu 1e-5 --eta 0.5 --L 128 --M 1000 --d-c 1e-4 --detector threshold --trials 200"
      " --seed 21",
      MC_HEADER + "\n"
-     "Q,0.5065563946394019,0.995,0.004987484335815003,13.816459311397091\n"
-     "e_bit,0.4885437408318148,0.5226130653266332,0.035407793003937926,0.9614663414209192\n"),
+     "Q,0.5065563946394019,1.0,0.0,13.957892827567264\n"
+     "e_bit,0.4885437408318148,0.465,0.03526861210765175,-0.6660924185839959\n"),
     ("attack-default", "attack --trials 200000 --seed 11",
      ATTACK_HEADER + "\n"
      "0.99,100,10000,99,1,200000,0.0036972963764972675,0.003625,0.00013438488335746696,9802.36781,"

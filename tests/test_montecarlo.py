@@ -153,6 +153,12 @@ def _workload_point(lam, eta, M, detector, mode=McMode.STANDARD):
                                 detector=Detector.PNR), McMode.STANDARD), count=5001, seed=7)
 @example(config=(ProtocolParams(mu=0.02, nu_th=0, eta=0.3, M=3, L=7, e_sys=0.03, d_c=1e-3,
                                 detector=Detector.THRESHOLD), McMode.BEAM_DUMP), count=5001, seed=8)
+@example(config=(ProtocolParams(mu=5.0, nu_th=0, eta=1.0, M=1, L=2, e_sys=0.5, d_c=1e-3,
+                                detector=Detector.THRESHOLD), McMode.STANDARD),
+         count=500_000, seed=9)
+@example(config=(ProtocolParams(mu=0.0, nu_th=0, eta=1.0, M=1, L=2, e_sys=0.5, d_c=1e-3,
+                                detector=Detector.THRESHOLD), McMode.STANDARD),
+         count=500_000, seed=10)
 def test_event_list_chunk_equals_the_dense_engine(config, count, seed):
     """The event list takes the dense engine's draws from the same substream,
     so every counter is equal, not just alike in distribution.  The workload
@@ -160,8 +166,11 @@ def test_event_list_chunk_equals_the_dense_engine(config, count, seed):
     the last one partial; the drawn configurations hold one or a few.  At
     mu = ``_WALK_MU`` and eta = 0.3 the 16 pieces hold 7,468 arrivals, 33
     of them of two photons or more, which the walk takes in ``_emissions``
-    at mu eta = 0.0075; the odd count of 5001 sequences of 21 slots leaves
-    the coins of a chunk an odd number."""
+    at mu eta = 0.0075.  The last two examples pin the correct detector of a
+    dark count, in 10^6-slot threshold chunks of L = 2 at d_c = 1e-3: at
+    mu eta = 5, 981 of the 986 dark counts take the coin of a slot that
+    photons reach (0.4 s for the event list, 0.3 s for the dense engine),
+    and at mu = 0 all 991 take a fresh one (0.02 s and 0.1 s)."""
     p, mode = config
     count = min(count, max(1, 1_000_000 // (p.M * p.L)))
     assert _chunk(p, mode, rng=substream(seed, (0,)), count=count) == \
@@ -183,23 +192,18 @@ def test_a_binomial_at_n_zero_draws_nothing(p):
         assert full.random() == nonzero.random()
 
 
-_BINOMIAL_N = np.random.default_rng(1).integers(0, 300, 1001)
-
-
 @pytest.mark.parametrize("take", [
     lambda rng, a, b: rng.poisson(0.7, b - a),
     lambda rng, a, b: rng.poisson(15.0, b - a),
     lambda rng, a, b: rng.random(b - a),
     lambda rng, a, b: rng.integers(0, 2, b - a),
-    lambda rng, a, b: rng.binomial(_BINOMIAL_N[a:b], 0.3),
-], ids=["poisson", "poisson-rejection", "random", "integers", "binomial"])
+], ids=["poisson", "poisson-rejection", "random", "integers"])
 def test_a_draw_in_consecutive_pieces_is_one_draw(take):
     """The premise of ``montecarlo._pieces``: numpy fills consecutive calls
     from the stream as it fills one call, so a draw of slots [0, 1001) split
     into uneven pieces has the one call's values and leaves the generator in
     the same state.  Odd piece sizes leave half of a 64-bit output over for
-    ``integers``; mu = 15 takes the Poisson's rejection branch; the binomial
-    is split over an array of n."""
+    ``integers``; mu = 15 takes the Poisson's rejection branch."""
     cuts = [0, 7, 500, 501, 1001]
     full, pieces = np.random.default_rng(17), np.random.default_rng(17)
     values = take(full, 0, 1001)
@@ -280,41 +284,6 @@ def test_arrivals_follow_the_poisson_law_of_mu_eta(mu, eta, seed):
         assert abs(z_score(k, size, q, q * (1.0 - q))) <= 4.0, (k, q)
 
 
-def _wanted_slots(size: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """The slot lists the coin reader is asked for: none, one, every slot,
-    unsorted with repeats (more than ``_PIECE`` of them where the draw is
-    large), and a few with gaps longer than a piece between them."""
-    if not size:
-        return [np.arange(0)]
-    spread = rng.permutation(np.repeat(np.arange(size), 2)[: 3 * size // 2])
-    lists = [np.arange(0), rng.integers(0, size, 1), np.arange(size), spread]
-    if size > 2 * montecarlo._PIECE:
-        lists.append(np.array([size - 1, 3, 4, 3 + 2 * montecarlo._PIECE + 5, size - 2]))
-    return lists
-
-
-@pytest.mark.parametrize("sizes", [(6, 10), (7, 10), (7, 9), (1, 1), (1, 0, 2),
-                                   (3 << 15, 65537, 5), (1, 5 << 16 | 3), (2, 1, 5 << 16)])
-def test_coins_are_numpys_integers(sizes):
-    """The premise of ``montecarlo._coins_at``: at any list of slots it reads
-    the values of one ``integers(0, 2)`` call and leaves the generator in
-    that call's state, numpy's stale buffered half (``uinteger``) included,
-    though it skips the words it does not read with ``advance``.  After an
-    odd count the next call starts from the half of a 64-bit output numpy
-    keeps; a uniform between the calls reads a whole output and leaves that
-    half.  The large draws span several pieces, the unsorted lists more
-    than a piece of entries, and the gapped ones jump whole pieces."""
-    numpy_rng, ours = np.random.default_rng(11), np.random.default_rng(11)
-    for size in sizes:
-        start = numpy_rng.bit_generator.state
-        want = numpy_rng.integers(0, 2, size) == 1
-        for at in _wanted_slots(size, np.random.default_rng(size)):
-            ours.bit_generator.state = start
-            assert montecarlo._coins_at(ours, size, at).tolist() == want[at].tolist(), at[:8]
-            assert ours.bit_generator.state == numpy_rng.bit_generator.state
-        assert ours.random() == numpy_rng.random()
-
-
 def _past_a_coin(seed: int) -> np.random.Generator:
     """A generator of ``seed`` past one coin: a buffered half sits in its
     state for the uniforms to leave alone."""
@@ -335,7 +304,11 @@ def test_dark_counts_are_numpys_uniforms_below_d_c(d_c):
     and the generator ends in that call's state.  At d_c equal to a drawn
     uniform k 2^-53 that uniform does not fire, nor at the float below it,
     and at the float above it it does; the largest d_c that ``_clicks_fit``
-    admits at L = 2 fires in 37% of slots."""
+    admits at L = 2 fires in 37% of slots.  Each case starts past one coin,
+    with numpy's buffered half of a 64-bit output in the state, which
+    ``_dark`` leaves there as ``random`` does.  No ``integers`` call comes
+    before ``_dark`` in a chunk, so this pins ``_dark``'s contract at any
+    state, not a state a chunk reaches."""
     p = ProtocolParams(mu=0.0, nu_th=0, eta=0.5, L=2, d_c=d_c)
     numpy_rng, ours = _past_a_coin(5), _past_a_coin(5)
     want = np.flatnonzero(numpy_rng.random(3 << 15) < d_c)
@@ -353,11 +326,11 @@ def test_one_sequence_of_1e7_slots_stays_small(detector, mode):
     196 pieces) under tracemalloc (MB = 2^20 bytes; numpy 2.4.6).  Each of
     its full-size draws alone is 97.7 MB at 8 bytes per slot, and taking
     each draw in one call peaked at 122 MB (110 MB in beam dump).  Taken a
-    piece at a time, with the detector coins read only at the event slots,
-    they leave 0.96-0.97 MB in threshold and beam dump, the (count, M)
-    block sums, and 1.6 MB in PNR, whose float block sum of the counts goes
-    before the wrong counts of the first clicked blocks are summed over the
-    entries.  A second float block sum for the wrong entries, alive beside
+    piece at a time, with the detector coins drawn only for the slots that
+    hold events, they leave 0.96-0.97 MB in threshold and beam dump, the
+    (count, M) block sums, and 1.6 MB in PNR, whose float block sum of the
+    counts goes before the wrong counts of the first clicked blocks are
+    summed over the entries.  A second float block sum for the wrong entries, alive beside
     the first, had taken PNR to 2.3 MB.  Holding the correct detector's
     coins at one bit per slot had taken the standard modes to 2.1-2.9 MB,
     and joining those bits from their pieces to 3.1-3.8 MB.  At M = 10^6
@@ -380,20 +353,22 @@ def test_one_sequence_of_1e7_slots_stays_small(detector, mode):
 def test_a_chunk_of_a_million_slots_stays_small(detector, mode):
     """One 10^6-slot chunk at L = 128, eta = 1 and d_c = 1e-3, under
     tracemalloc (MB = 2^20 bytes; numpy 2.4.6).  ``oracles.dense_chunk``
-    peaks at 63.0 MB (33.4 MB in beam dump) at any mu.
+    peaks at 51.6 MB (33.4 MB in beam dump) at any mu, and at 63.0 MB in
+    the standard modes when it held int64 detector coins at every slot.
 
     At lambda = 1 per block the event list peaks at 0.81 MB (0.72 MB),
     with its full-size draws taken a piece at a time (9.8-10.5 MB and 8.7 MB
     when each was one call; 0.93 MB with the correct detector's coins held
     at one bit per slot); the bound is 32 MB.  At mu = 5 per slot, where
     nearly every slot holds photons and the slot list is as long as the
-    chunk, it peaks at 49.1 MB (PNR), 49.3 MB (threshold) and 32.2 MB (beam
-    dump); the bound is the dense engine's peak.  The coins are read at the
-    entries ``_PIECE`` at a time: one sort over all of them takes the
-    standard modes to 50.0 MB.  Joining the standard sift's three entry
-    lists at full size before dropping the empty entries, and holding the
-    emissions and both detectors' photon counts through the later draws,
-    had taken it to 81.4 MB (41.3 MB)."""
+    chunk, it peaks at 50.0 MB (PNR), 50.2 MB (threshold) and 32.2 MB (beam
+    dump); the bound is the dense engine's peak, its int64 one in the
+    standard modes.  The correct detector is one coin per slot that photons
+    reach; one per distinct entry slot instead, from ``np.unique(slot,
+    return_inverse=True)``, took the standard modes to 77.6 MB.  Joining the
+    standard sift's three entry lists at full size before dropping the empty
+    entries, and holding the emissions and both detectors' photon counts
+    through the later draws, had taken it to 81.4 MB (41.3 MB)."""
     dense_peak = 33.4 if mode is McMode.BEAM_DUMP else 63.0
     for mu, bound in ((1.0 / 128, 32.0), (5.0, dense_peak)):
         p = ProtocolParams(mu=mu, nu_th=0, eta=1.0, M=1, L=128, d_c=1e-3, detector=detector)
